@@ -478,12 +478,12 @@ fn bench_dist_overhead(c: &mut Criterion) {
 ///
 /// A resident [`m2td_serve::ServeEngine`] is filled from a deterministic
 /// synthetic ensemble, then queried from 1, 2 and 8 std threads: the
-/// single-cell path (pre-decoded `CellEvaluator` + bounded cache) and the
-/// batched-TTM slice path, each tagged with its thread count, plus the
-/// absorb and refresh latencies. Before timing starts, every thread
-/// count's answers are asserted bitwise-equal to the single-thread
-/// baseline — the serving contract the `tests/serve.rs` property tests
-/// pin.
+/// single-cell path (the core contracted with one factor row per mode,
+/// `TuckerDecomp::cell`) and the batched-TTM slice path, each tagged with
+/// its thread count, plus the absorb and refresh latencies. Before timing
+/// starts, every thread count's answers are asserted bitwise-equal to the
+/// single-thread baseline — the serving contract the `tests/serve.rs`
+/// property tests pin.
 fn bench_serve(c: &mut Criterion) {
     use m2td_serve::{ServeConfig, ServeEngine};
     use std::sync::Arc;

@@ -154,8 +154,6 @@ FLAGS (serve):
   --fill <f>             fraction of cells absorbed (0,1] [default 0.5]
   --staleness <n>        absorbed cells per automatic model refresh
                          (0 = one manual refresh at the end) [default 64]
-  --cache-capacity <n>   cached cell predictions per model
-                         (0 disables the cache)           [default 4096]
   --queries <n>          cell queries issued per thread   [default 1000]
   --slices <n>           slice queries issued             [default 8]
   --threads <n>          concurrent query threads; answers are asserted
@@ -754,7 +752,6 @@ fn run_serve(args: &Args) -> Result<u8, String> {
     let fill: f64 = args.parse_or("fill", 0.5)?;
     check_frac("fill", fill)?;
     let staleness: usize = args.parse_or("staleness", 64)?;
-    let cache_capacity: usize = args.parse_or("cache-capacity", 4096)?;
     let queries: usize = args.parse_or("queries", 1000)?;
     let slices: usize = args.parse_or("slices", 8)?;
     let threads: usize = args.parse_or("threads", 1)?;
@@ -792,9 +789,7 @@ fn run_serve(args: &Args) -> Result<u8, String> {
         m2td_guard::install(m2td_guard::GuardConfig::with_policy(policy));
     }
 
-    let config = ServeConfig::default()
-        .with_staleness(staleness)
-        .with_cache_capacity(cache_capacity);
+    let config = ServeConfig::default().with_staleness(staleness);
     let engine = match &state_dir {
         None => ServeEngine::new(config),
         Some(dir) => {

@@ -2,7 +2,6 @@
 //! the lock-light query path, and the durability plane (WAL + snapshots,
 //! crash recovery, admission control, degraded read-only mode).
 
-use crate::lru::LruCache;
 use crate::store::{
     bits_from_json, bits_to_json, dense_from_json, dense_to_json, matrix_from_json, matrix_to_json,
     SnapshotStore,
@@ -15,7 +14,7 @@ use m2td_json::Json;
 use m2td_linalg::Matrix;
 use m2td_tensor::{
     sparse_core_with, ttm_dense_ws, CellEvaluator, CoreOrdering, DenseTensor, IncrementalEnsemble,
-    Shape, SparseTensor, TensorError, TuckerDecomp, Workspace,
+    SparseTensor, TensorError, TuckerDecomp, Workspace,
 };
 use std::collections::BTreeMap;
 use std::fmt;
@@ -31,12 +30,6 @@ pub struct ServeConfig {
     /// automatically. `0` disables auto-refresh (explicit
     /// [`ServeEngine::refresh`] only).
     pub staleness_threshold: usize,
-    /// Maximum number of cached cell predictions per published model.
-    /// The cache evicts least-recently-used entries once full (see
-    /// `serve.cache_evictions`), so a shifting query working set keeps
-    /// its hot cells resident; a refresh publishes a fresh empty cache.
-    /// `0` disables caching.
-    pub cache_capacity: usize,
     /// Admission control: maximum absorbed-but-not-yet-refreshed cells
     /// per ensemble. An absorb that would push `pending` past this bound
     /// is refused with [`ServeError::Overloaded`] — explicit backpressure
@@ -49,11 +42,10 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Defaults: refresh every 64 absorbs, 4096 cached cells per model,
-    /// no absorb bound, no query deadline.
+    /// Defaults: refresh every 64 absorbs, no absorb bound, no query
+    /// deadline.
     pub const DEFAULT: ServeConfig = ServeConfig {
         staleness_threshold: 64,
-        cache_capacity: 4096,
         absorb_queue_cap: 0,
         query_deadline: None,
     };
@@ -61,12 +53,6 @@ impl ServeConfig {
     /// Replaces the staleness threshold.
     pub fn with_staleness(mut self, threshold: usize) -> Self {
         self.staleness_threshold = threshold;
-        self
-    }
-
-    /// Replaces the cache capacity.
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity;
         self
     }
 
@@ -386,25 +372,14 @@ pub struct EnsembleStats {
 #[derive(Debug)]
 pub struct Model {
     evaluator: CellEvaluator,
-    /// Output-space shape used to key the cell cache; `None` when the
-    /// reconstruction space is too large to linearize (cache disabled —
-    /// see [`Shape::checked_num_elements`]).
-    cache_shape: Option<Shape>,
-    cache: Mutex<LruCache>,
     version: u64,
     basis_cells: usize,
 }
 
 impl Model {
-    fn new(decomp: TuckerDecomp, cache_capacity: usize, version: u64, basis_cells: usize) -> Self {
-        let evaluator = CellEvaluator::new(decomp);
-        let shape = Shape::new(evaluator.output_dims());
-        let cache_shape =
-            (cache_capacity > 0 && shape.checked_num_elements().is_some()).then_some(shape);
+    fn new(decomp: TuckerDecomp, version: u64, basis_cells: usize) -> Self {
         Self {
-            evaluator,
-            cache_shape,
-            cache: Mutex::new(LruCache::new(cache_capacity)),
+            evaluator: CellEvaluator::new(decomp),
             version,
             basis_cells,
         }
@@ -425,54 +400,10 @@ impl Model {
         self.basis_cells
     }
 
-    /// Predicts one cell of the reconstruction, consulting the bounded
-    /// per-model LRU cache (least-recently-used entries are evicted once
-    /// it fills — `serve.cache_evictions`). Cached and uncached paths
-    /// return bitwise-identical values (the cache stores exactly what the
-    /// evaluator computed, and a post-eviction re-miss recomputes the
-    /// identical value), so caching never changes a prediction — only its
-    /// latency.
+    /// Predicts one cell of the reconstruction by contracting the core
+    /// with one factor row per mode ([`TuckerDecomp::cell`]).
     pub fn cell(&self, index: &[usize]) -> Result<f64> {
-        let Some(shape) = &self.cache_shape else {
-            m2td_obs::counter_add("serve.cache_misses", 1);
-            return Ok(self.evaluator.cell(index)?);
-        };
-        // Mirror the evaluator's validation so the cached path reports the
-        // same error variants as the uncached one.
-        let dims = shape.dims();
-        if index.len() != dims.len() {
-            return Err(ServeError::Tensor(TensorError::WrongNumberOfRanks {
-                supplied: index.len(),
-                order: dims.len(),
-            }));
-        }
-        if index.iter().zip(dims.iter()).any(|(&i, &d)| i >= d) {
-            return Err(ServeError::Tensor(TensorError::IndexOutOfBounds {
-                index: index.to_vec(),
-                shape: dims.to_vec(),
-            }));
-        }
-        let key = shape.linear_index(index) as u64;
-        if let Some(hit) = self
-            .cache
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(key)
-        {
-            m2td_obs::counter_add("serve.cache_hits", 1);
-            return Ok(hit);
-        }
-        m2td_obs::counter_add("serve.cache_misses", 1);
-        let value = self.evaluator.cell(index)?;
-        let evicted = self
-            .cache
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(key, value);
-        if evicted {
-            m2td_obs::counter_add("serve.cache_evictions", 1);
-        }
-        Ok(value)
+        Ok(self.evaluator.cell(index)?)
     }
 
     /// Predicts a whole mode-`mode` slice (`index` fixed in that mode) as
@@ -533,9 +464,6 @@ struct EnsembleState {
 pub struct ServeEngine {
     config: ServeConfig,
     ensembles: RwLock<BTreeMap<String, Arc<RwLock<EnsembleState>>>>,
-    /// Buffer pool for slice queries; separate from the per-ensemble pool
-    /// so a slice query never contends with absorbs for the write lock.
-    slice_ws: Mutex<Workspace>,
     /// The durability plane; `None` for a purely in-memory engine. Lock
     /// order for mutators: this mutex first, then the ensemble map/state
     /// locks — never the reverse.
@@ -557,7 +485,6 @@ impl ServeEngine {
         Self {
             config,
             ensembles: RwLock::new(BTreeMap::new()),
-            slice_ws: Mutex::new(Workspace::new()),
             durability: None,
             degraded: AtomicBool::new(false),
             crash: None,
@@ -840,12 +767,7 @@ impl ServeEngine {
             basis_cells: sparse.nnz(),
             served_ranks,
         };
-        st.model = Some(Arc::new(Model::new(
-            decomp,
-            self.config.cache_capacity,
-            st.version,
-            sparse.nnz(),
-        )));
+        st.model = Some(Arc::new(Model::new(decomp, st.version, sparse.nnz())));
         st.pending = 0;
         m2td_obs::counter_add("serve.refreshes", 1);
         m2td_obs::gauge_set("serve.model_version", st.version as f64);
@@ -911,8 +833,7 @@ impl ServeEngine {
         m2td_obs::counter_add("serve.slice_queries", 1);
         self.check_deadline(name, start)?;
         let model = self.model(name)?;
-        let mut ws = self.slice_ws.lock().unwrap_or_else(|e| e.into_inner());
-        model.slice(mode, index, &mut ws)
+        model.slice(mode, index, &mut Workspace::new())
     }
 
     /// Statistics for one ensemble.
@@ -1142,8 +1063,7 @@ impl ServeEngine {
     /// Rebuilds the full engine state from a snapshot payload, replacing
     /// whatever the map held. Entries and Grams restore bit-exactly via
     /// [`IncrementalEnsemble::from_sparse_with_grams`]; the published
-    /// model (if any) is reconstructed from its stored core and factors
-    /// with a fresh (empty) cell cache — caching never changes values.
+    /// model (if any) is reconstructed from its stored core and factors.
     fn restore_payload(&self, payload: &Json) -> Result<()> {
         fn bad(what: &str) -> ServeError {
             ServeError::Store {
@@ -1211,12 +1131,7 @@ impl ServeEngine {
                         _ => return Err(bad("model factors")),
                     };
                     let decomp = TuckerDecomp::new(core, factors)?;
-                    Some(Arc::new(Model::new(
-                        decomp,
-                        self.config.cache_capacity,
-                        version,
-                        basis_cells,
-                    )))
+                    Some(Arc::new(Model::new(decomp, version, basis_cells)))
                 }
             };
             map.insert(
@@ -1307,7 +1222,7 @@ impl ServeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use m2td_tensor::hosvd_sparse_exact;
+    use m2td_tensor::{hosvd_sparse_exact, Shape};
     use std::sync::Mutex as TestMutex;
 
     /// Guard state is process-global; tests that install serialize here.
@@ -1477,79 +1392,22 @@ mod tests {
     }
 
     #[test]
-    fn cache_serves_repeat_queries_identically() {
+    fn repeat_queries_serve_identically() {
         let engine = ServeEngine::new(ServeConfig::default().with_staleness(0));
         engine.register("e", &[4, 4], &[2, 2]).unwrap();
         fill(&engine, "e", &[4, 4]);
         engine.refresh("e").unwrap();
-        let cold = engine.query_cell("e", &[1, 3]).unwrap();
-        let warm = engine.query_cell("e", &[1, 3]).unwrap();
-        assert_eq!(cold.to_bits(), warm.to_bits());
-        // Capacity 0 disables the cache without changing results.
-        let uncached = ServeEngine::new(
-            ServeConfig::default()
-                .with_staleness(0)
-                .with_cache_capacity(0),
-        );
-        uncached.register("e", &[4, 4], &[2, 2]).unwrap();
-        fill(&uncached, "e", &[4, 4]);
-        uncached.refresh("e").unwrap();
-        let plain = uncached.query_cell("e", &[1, 3]).unwrap();
-        assert_eq!(plain.to_bits(), cold.to_bits());
-        // Both paths reject malformed indices identically.
-        for eng in [&engine, &uncached] {
-            assert!(matches!(
-                eng.query_cell("e", &[1]),
-                Err(ServeError::Tensor(TensorError::WrongNumberOfRanks { .. }))
-            ));
-            assert!(matches!(
-                eng.query_cell("e", &[9, 0]),
-                Err(ServeError::Tensor(TensorError::IndexOutOfBounds { .. }))
-            ));
-        }
-    }
-
-    #[test]
-    fn full_cache_evicts_lru_and_keeps_serving_identical_values() {
-        let _lock = GUARD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let dims = [4usize, 4];
-        let engine = ServeEngine::new(
-            ServeConfig::default()
-                .with_staleness(0)
-                .with_cache_capacity(3),
-        );
-        engine.register("e", &dims, &[2, 2]).unwrap();
-        fill(&engine, "e", &dims);
-        engine.refresh("e").unwrap();
-
-        // Baseline predictions, pre-cache-pressure.
-        let indices: Vec<Vec<usize>> = Shape::new(&dims).iter_indices().collect();
-        let baseline: Vec<f64> = indices
-            .iter()
-            .map(|i| engine.query_cell("e", i).unwrap())
-            .collect();
-
-        // Sweep all 16 cells through a 3-entry cache, twice: the cache
-        // churns constantly and must evict.
-        m2td_obs::install();
-        m2td_obs::reset();
-        for _ in 0..2 {
-            for (i, idx) in indices.iter().enumerate() {
-                let y = engine.query_cell("e", idx).unwrap();
-                assert_eq!(
-                    y.to_bits(),
-                    baseline[i].to_bits(),
-                    "eviction churn must never change a prediction"
-                );
-            }
-        }
-        let snap = m2td_obs::snapshot();
-        m2td_obs::uninstall();
-        let evictions = snap.counter("serve.cache_evictions").unwrap_or(0);
-        assert!(
-            evictions >= 16,
-            "two 16-cell sweeps through a 3-entry cache must evict (got {evictions})"
-        );
+        let first = engine.query_cell("e", &[1, 3]).unwrap();
+        let again = engine.query_cell("e", &[1, 3]).unwrap();
+        assert_eq!(first.to_bits(), again.to_bits());
+        assert!(matches!(
+            engine.query_cell("e", &[1]),
+            Err(ServeError::Tensor(TensorError::WrongNumberOfRanks { .. }))
+        ));
+        assert!(matches!(
+            engine.query_cell("e", &[9, 0]),
+            Err(ServeError::Tensor(TensorError::IndexOutOfBounds { .. }))
+        ));
     }
 
     #[test]
@@ -1763,8 +1621,8 @@ mod tests {
         engine.register("e", &[4, 4], &[2, 2]).unwrap();
         fill(&engine, "e", &[4, 4]);
         engine.refresh("e").unwrap();
-        // Warm the LRU cell cache against generation one (a simulated
-        // cell, so both generations predict it well).
+        // Query generation one (a simulated cell, so both generations
+        // predict it well).
         let old = engine.query_cell("e", &[1, 2]).unwrap();
         assert_eq!(engine.stats("e").unwrap().model_version, 1);
 
@@ -1776,14 +1634,14 @@ mod tests {
             (0, 0, 0),
             "re-registration must start from scratch"
         );
-        // No model yet — the warm cache of the old generation must be
-        // unreachable, not served.
+        // No model yet — the old generation's model must be unreachable,
+        // not served.
         assert!(matches!(
             engine.query_cell("e", &[1, 2]),
             Err(ServeError::NoModel { .. })
         ));
         // A fresh fill with shifted values publishes version 1 of the new
-        // generation and serves *its* values, not the cached old ones.
+        // generation and serves *its* values, not the old ones.
         let shape = Shape::new(&[4, 4]);
         for l in 0..shape.num_elements() {
             if l % 2 == 0 {

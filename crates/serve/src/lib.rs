@@ -24,16 +24,16 @@
 //!   leaves the previous healthy model serving.
 //! * **Queries** — [`ServeEngine::query_cell`] / [`query_cells`] /
 //!   [`query_slice`](ServeEngine::query_slice) evaluate against the
-//!   published snapshot through a pre-decoded
-//!   [`m2td_tensor::CellEvaluator`] (no per-call allocation) plus a
-//!   bounded per-model LRU result cache. Queries take `&self` and never
-//!   block behind each other; concurrent queries at any thread count
-//!   return bitwise-identical predictions.
+//!   published snapshot: a cell contracts the core with one factor row
+//!   per mode ([`m2td_tensor::TuckerDecomp::cell`], no per-call
+//!   allocation on serving-sized cores), a slice runs a batched TTM chain
+//!   on a call-local workspace. Queries take `&self` and never block
+//!   behind each other; concurrent queries at any thread count return
+//!   bitwise-identical predictions.
 //!
 //! Every request is instrumented through `m2td-obs`: `serve.query`,
 //! `serve.absorb` and `serve.refresh` spans carry per-request latency,
-//! and `serve.cache_hits` / `serve.cache_misses` /
-//! `serve.cache_evictions` count the query cache.
+//! and `serve.cell_queries` / `serve.slice_queries` count the queries.
 //!
 //! ## Durability
 //!
@@ -72,7 +72,6 @@
 //! ```
 
 mod engine;
-mod lru;
 pub mod store;
 pub mod wal;
 

@@ -71,28 +71,52 @@ impl TuckerDecomp {
     }
 
     /// Evaluates a single reconstructed cell without materializing the
-    /// full tensor: `X̃[i] = Σ_g G[g] · Π_n U⁽ⁿ⁾[i_n, g_n]`.
+    /// full tensor: `X̃[i] = G ×₁ U⁽¹⁾[i₁, :] ×₂ U⁽²⁾[i₂, :] ⋯ ×_N U⁽ᴺ⁾[i_N, :]`.
     ///
-    /// Cost is `Π r_n` per cell — the right tool for in-fill queries
-    /// ("how would this unsimulated configuration behave?") against a
-    /// decomposition of a large ensemble.
+    /// The core is contracted with one factor row per mode, leading mode
+    /// first, each step a run of contiguous multiply-adds over the
+    /// remaining block (`64 + 16 + 4` for a `4×4×4` core). The block after
+    /// the first step lives on the stack when it has at most 64 entries
+    /// (`CELL_INLINE_SLOTS`), so serving-sized cores evaluate without
+    /// allocating. This is the one implementation of the cell sum:
+    /// [`CellEvaluator`] and the serve engine call it, so their values are
+    /// bitwise identical to it by construction.
+    ///
+    /// Cost is `Π r_n` multiply-adds per cell — the right tool for in-fill
+    /// queries ("how would this unsimulated configuration behave?")
+    /// against a decomposition of a large ensemble.
     pub fn cell(&self, index: &[usize]) -> Result<f64> {
         self.check_cell_index(index)?;
-        let core_shape = self.core.shape();
-        let mut g_idx = vec![0usize; core_shape.order()];
-        let mut acc = 0.0;
-        for (lin, &g) in self.core.as_slice().iter().enumerate() {
-            if g == 0.0 {
-                continue;
-            }
-            core_shape.multi_index_into(lin, &mut g_idx);
-            let mut term = g;
-            for ((&i, f), &gn) in index.iter().zip(self.factors.iter()).zip(g_idx.iter()) {
-                term *= f.get(i, gn);
-            }
-            acc += term;
+        let core = self.core.as_slice();
+        if core.is_empty() {
+            // An order-0 core or a rank-0 mode: the sum has no terms.
+            return Ok(0.0);
         }
-        Ok(acc)
+        let w = self.factors[0].row(index[0]);
+        let mut len = core.len() / w.len();
+        let mut inline = [0.0; CELL_INLINE_SLOTS];
+        let mut spill = Vec::new();
+        let acc: &mut [f64] = if len <= CELL_INLINE_SLOTS {
+            &mut inline[..len]
+        } else {
+            spill.resize(len, 0.0);
+            &mut spill
+        };
+        let (first, slabs) = core.split_at(len);
+        for (a, &c) in acc.iter_mut().zip(first) {
+            *a = w[0] * c;
+        }
+        add_scaled_slabs(acc, &w[1..], slabs);
+        for (f, &i) in self.factors[1..].iter().zip(&index[1..]) {
+            let w = f.row(i);
+            len /= w.len();
+            let (head, slabs) = acc[..len * w.len()].split_at_mut(len);
+            for a in head.iter_mut() {
+                *a *= w[0];
+            }
+            add_scaled_slabs(head, &w[1..], slabs);
+        }
+        Ok(acc[0])
     }
 
     /// Validates a reconstruction-space multi-index: every mode is checked
@@ -148,51 +172,40 @@ impl TuckerDecomp {
     }
 }
 
-/// Amortized single-cell evaluation over a [`TuckerDecomp`].
+/// Largest trailing core block (`Π_{n≥2} r_n`) that
+/// [`TuckerDecomp::cell`] contracts in a stack buffer; larger cores spill
+/// to one heap allocation per call.
+const CELL_INLINE_SLOTS: usize = 64;
+
+/// `acc[j] += Σ_g w[g] · slabs[g·len + j]` with `len = acc.len()`, one
+/// contiguous slab per weight, accumulated in `g` order.
+fn add_scaled_slabs(acc: &mut [f64], w: &[f64], slabs: &[f64]) {
+    for (&wg, slab) in w.iter().zip(slabs.chunks_exact(acc.len())) {
+        for (a, &s) in acc.iter_mut().zip(slab) {
+            *a += wg * s;
+        }
+    }
+}
+
+/// Single-cell evaluation over a [`TuckerDecomp`] whose output extents
+/// are computed once.
 ///
-/// [`TuckerDecomp::cell`] decodes every nonzero core entry's multi-index
-/// on each call and allocates a scratch index buffer per query — fine for
-/// one-shot in-fill, wasteful on a serving hot path issuing thousands of
-/// queries against the same decomposition. `CellEvaluator` hoists that
-/// work out of the per-call path: it scans the core once, keeping only the
-/// nonzero entries with their multi-indices pre-decoded, so each query is
-/// a pure read-only walk (`Π r_n` multiplies worst case, fewer on sparse
-/// cores) with no allocation. Evaluation accumulates terms in the same
-/// linear-core order as `cell`, so results are bitwise identical to it —
-/// and, because queries take `&self`, identical across any number of
-/// concurrent query threads.
+/// [`Self::cell`] is [`TuckerDecomp::cell`], so results are bitwise
+/// identical to it — and, because queries take `&self`, identical across
+/// any number of concurrent query threads.
 #[derive(Debug, Clone)]
 pub struct CellEvaluator {
     decomp: TuckerDecomp,
-    /// Values of the nonzero core entries, in linear-core order.
-    values: Vec<f64>,
-    /// Pre-decoded core multi-indices, flattened `order` per value.
-    g_idx: Vec<usize>,
     /// Cached `decomp.output_dims()`.
     output_dims: Vec<usize>,
 }
 
 impl CellEvaluator {
-    /// Builds the evaluator, pre-decoding every nonzero core entry.
+    /// Wraps `decomp`.
     pub fn new(decomp: TuckerDecomp) -> Self {
-        let core_shape = decomp.core.shape();
-        let order = core_shape.order();
-        let mut values = Vec::new();
-        let mut g_idx = Vec::new();
-        let mut scratch = vec![0usize; order];
-        for (lin, &g) in decomp.core.as_slice().iter().enumerate() {
-            if g == 0.0 {
-                continue;
-            }
-            core_shape.multi_index_into(lin, &mut scratch);
-            values.push(g);
-            g_idx.extend_from_slice(&scratch);
-        }
         let output_dims = decomp.output_dims();
         Self {
             decomp,
-            values,
-            g_idx,
             output_dims,
         }
     }
@@ -207,30 +220,9 @@ impl CellEvaluator {
         &self.output_dims
     }
 
-    /// Number of nonzero core entries each query walks.
-    pub fn num_terms(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Evaluates one reconstructed cell; bitwise identical to
-    /// [`TuckerDecomp::cell`] on the wrapped decomposition.
+    /// Evaluates one reconstructed cell with [`TuckerDecomp::cell`].
     pub fn cell(&self, index: &[usize]) -> Result<f64> {
-        self.decomp.check_cell_index(index)?;
-        let order = self.decomp.factors.len();
-        let mut acc = 0.0;
-        for (t, &g) in self.values.iter().enumerate() {
-            let g_idx = &self.g_idx[t * order..(t + 1) * order];
-            let mut term = g;
-            for ((&i, f), &gn) in index
-                .iter()
-                .zip(self.decomp.factors.iter())
-                .zip(g_idx.iter())
-            {
-                term *= f.get(i, gn);
-            }
-            acc += term;
-        }
-        Ok(acc)
+        self.decomp.cell(index)
     }
 }
 
@@ -307,11 +299,16 @@ mod tests {
         assert!(t.cell(&[0]).is_err());
         assert!(t.cell(&[2, 0]).is_err());
         assert_eq!(t.cell(&[1, 1]).unwrap(), 0.0);
+        // Degenerate cores (order 0, a rank-0 mode) sum no terms.
+        let scalar = TuckerDecomp::new(DenseTensor::zeros(&[]), vec![]).unwrap();
+        assert_eq!(scalar.cell(&[]).unwrap(), 0.0);
+        let empty = DenseTensor::zeros(&[1, 0]);
+        let t = TuckerDecomp::new(empty, vec![Matrix::zeros(2, 1), Matrix::zeros(2, 0)]).unwrap();
+        assert_eq!(t.cell(&[1, 1]).unwrap(), 0.0);
     }
 
     #[test]
     fn cell_evaluator_matches_cell_bitwise() {
-        // A core with an exact zero exercises the nonzero-term filter.
         let core = DenseTensor::from_fn(&[2, 2], |i| {
             if i == [1, 0] {
                 0.0
@@ -323,7 +320,6 @@ mod tests {
         let b = Matrix::from_fn(3, 2, |i, j| ((i * 2 + j) as f64 * 0.3).cos());
         let t = TuckerDecomp::new(core, vec![a, b]).unwrap();
         let eval = CellEvaluator::new(t.clone());
-        assert_eq!(eval.num_terms(), 3);
         assert_eq!(eval.output_dims(), &[4, 3]);
         for i in 0..4 {
             for j in 0..3 {

@@ -8,7 +8,7 @@ use m2td_linalg::Matrix;
 use m2td_tensor::{
     hosvd_dense, hosvd_sparse, ttm_dense, ttm_dense_transposed, ttm_sparse, ttm_sparse_transposed,
     ttv_dense, CoreOrdering, DenseTensor, IncrementalEnsemble, Shape, SparseTensor, TtmPlan,
-    Workspace,
+    TuckerDecomp, Workspace,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -203,20 +203,51 @@ fn incremental_grams_equal_batch_for_random_fills() {
     }
 }
 
+/// A random Tucker model over `ranks` (factors of 1–3 extra rows per
+/// mode) with one core entry set to exactly zero.
+fn rand_tucker(rng: &mut StdRng, ranks: &[usize]) -> TuckerDecomp {
+    let mut core = DenseTensor::from_fn(ranks, |_| rng.gen_range(-2.0..2.0));
+    let zero = rng.gen_range(0..core.num_elements());
+    core.as_mut_slice()[zero] = 0.0;
+    let factors = ranks
+        .iter()
+        .map(|&r| {
+            let rows = rng.gen_range(r..r + 3);
+            Matrix::from_fn(rows, r, |_, _| rng.gen_range(-1.0..1.0))
+        })
+        .collect();
+    TuckerDecomp::new(core, factors).unwrap()
+}
+
 #[test]
 fn tucker_cell_agrees_with_reconstruction() {
+    let mut cases = Vec::new();
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed);
         let t = rand_dense(&mut rng);
         let ranks: Vec<usize> = t.dims().iter().map(|&d| 2usize.min(d)).collect();
-        let tucker = hosvd_dense(&t, &ranks).unwrap();
+        cases.push(hosvd_dense(&t, &ranks).unwrap());
+        // Orders 1–5 at ranks 1–4, always with a rank-1 mode.
+        let order = rng.gen_range(1usize..6);
+        let mut ranks: Vec<usize> = (0..order).map(|_| rng.gen_range(1usize..5)).collect();
+        ranks[rng.gen_range(0..order)] = 1;
+        cases.push(rand_tucker(&mut rng, &ranks));
+    }
+    // Five modes at rank 4: the 4⁴-entry block left after the leading
+    // mode overflows the contraction's inline scratch.
+    cases.push(rand_tucker(&mut StdRng::seed_from_u64(CASES), &[4; 5]));
+    for tucker in &cases {
         let full = tucker.reconstruct().unwrap();
         // Spot-check a quarter of the cells.
-        let shape = t.shape().clone();
-        for lin in (0..t.num_elements()).step_by(4) {
+        let shape = full.shape().clone();
+        for lin in (0..full.num_elements()).step_by(4) {
             let idx = shape.multi_index(lin);
             let direct = tucker.cell(&idx).unwrap();
-            assert!((direct - full.get(&idx)).abs() < 1e-9);
+            assert!(
+                (direct - full.get(&idx)).abs() < 1e-9,
+                "ranks {:?} cell {idx:?}",
+                tucker.ranks()
+            );
         }
     }
 }
