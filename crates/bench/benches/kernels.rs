@@ -439,7 +439,7 @@ fn bench_parallel_speedup(c: &mut Criterion) {
 /// equal before timing starts so the family never prices a wrong answer.
 fn bench_dist_overhead(c: &mut Criterion) {
     use m2td_core::M2tdOptions;
-    use m2td_dist::{d_m2td, MapReduce, TransportKind};
+    use m2td_dist::{d_m2td, DistJob, MapReduce, TransportKind};
 
     let cell = |p: usize, a: usize, b: usize| {
         ((p as f64) * 0.5).sin() * ((a as f64) * 0.4 + 1.0) * ((b as f64) * 0.3 + 1.0) + 0.2
@@ -458,8 +458,9 @@ fn bench_dist_overhead(c: &mut Criterion) {
     for workers in [1usize, 2, 8] {
         let direct = MapReduce::new(workers).with_transport(TransportKind::Direct);
         let channel = direct.with_transport(TransportKind::Channel);
-        let baseline = d_m2td(&x1, &x2, 1, &ranks, opts, &direct).unwrap();
-        let over_channel = d_m2td(&x1, &x2, 1, &ranks, opts, &channel).unwrap();
+        let baseline = d_m2td(&x1, &x2, 1, &ranks, opts, &direct, &DistJob::default()).unwrap();
+        let over_channel =
+            d_m2td(&x1, &x2, 1, &ranks, opts, &channel, &DistJob::default()).unwrap();
         assert_eq!(
             baseline.tucker.core.as_slice(),
             over_channel.tucker.core.as_slice(),
@@ -467,7 +468,18 @@ fn bench_dist_overhead(c: &mut Criterion) {
         );
         for (tag, engine) in [("direct", direct), ("channel", channel)] {
             g.bench_function(format!("{tag}_w{workers}"), |b| {
-                b.iter(|| d_m2td(black_box(&x1), &x2, 1, &ranks, opts, &engine).unwrap())
+                b.iter(|| {
+                    d_m2td(
+                        black_box(&x1),
+                        &x2,
+                        1,
+                        &ranks,
+                        opts,
+                        &engine,
+                        &DistJob::default(),
+                    )
+                    .unwrap()
+                })
             });
         }
     }

@@ -581,20 +581,22 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// `dist`: one resumable sharded D-M2TD run over a job directory.
 fn run_dist(args: &Args) -> Result<u8, String> {
     use m2td_dist::{
-        d_m2td_resumable, CheckpointStore, DlqStore, FaultConfig, JobRecovery, ManifestStore,
-        MapReduce, Phase3Strategy, TransportKind,
+        d_m2td, CheckpointStore, DistJob, DlqStore, FaultConfig, JobRecovery, ManifestStore,
+        MapReduce, TransportKind,
     };
     use m2td_fault::{FaultPlan, RetryPolicy};
     use m2td_json::ToJson;
 
     let dir = args.get("dir").ok_or("dist needs --dir <path>")?;
     let workers: usize = args.parse_or("workers", 2)?;
-    let transport = match args.get("transport") {
-        None => TransportKind::from_env(),
-        Some(s) => s
+    // `MapReduce::new` applies `M2TD_TRANSPORT`; `--transport` overrides it.
+    let mut engine = MapReduce::new(workers);
+    if let Some(s) = args.get("transport") {
+        let transport = s
             .parse::<TransportKind>()
-            .map_err(|e| format!("--transport: {e}"))?,
-    };
+            .map_err(|e| format!("--transport: {e}"))?;
+        engine = engine.with_transport(transport);
+    }
     let p_dim: usize = args.parse_or("p-dim", 8)?;
     let f_dim: usize = args.parse_or("f-dim", 6)?;
     let rank: usize = args.parse_or("rank", 3)?;
@@ -652,30 +654,31 @@ fn run_dist(args: &Args) -> Result<u8, String> {
 
     let (x1, x2) = dist_inputs(p_dim, f_dim)?;
     let ranks = [rank.min(p_dim), rank.min(f_dim), rank.min(f_dim)];
-    let engine = MapReduce::new(workers).with_transport(transport);
     let checkpoint = CheckpointStore::new(dir).map_err(|e| e.to_string())?;
     let manifest = ManifestStore::open(dir).map_err(|e| e.to_string())?;
     let dlq = DlqStore::open(dir);
     let recovery = JobRecovery::new(&manifest, &dlq).with_min_coverage(min_coverage);
 
     eprintln!(
-        "dist: {p_dim}x{f_dim} inputs, ranks {ranks:?}, {workers} workers, {transport:?} transport"
+        "dist: {p_dim}x{f_dim} inputs, ranks {ranks:?}, {workers} workers, {:?} transport",
+        engine.transport()
     );
-    let report = d_m2td_resumable(
+    let d = d_m2td(
         &x1,
         &x2,
         1,
         &ranks,
         M2tdOptions::default(),
         &engine,
-        Phase3Strategy::ChunkPartition,
-        &faults,
-        Some(&checkpoint),
-        &recovery,
+        &DistJob {
+            faults,
+            checkpoint: Some(&checkpoint),
+            recovery: Some(recovery),
+            ..Default::default()
+        },
     )
     .map_err(|e| e.to_string())?;
 
-    let d = &report.dist;
     let mut hashed = d.tucker.core.to_json().to_compact();
     for f in &d.tucker.factors {
         hashed.push_str(&f.to_json().to_compact());
@@ -689,14 +692,14 @@ fn run_dist(args: &Args) -> Result<u8, String> {
     );
     println!(
         "resume: {} tasks replayed from manifest, {} dead-letter entries drained",
-        report.resumed_tasks, report.drained,
+        d.resumed_tasks, d.drained,
     );
     println!("core fnv64: {:016x}", fnv1a64(hashed.as_bytes()));
-    if report.degraded {
+    if d.degraded {
         println!(
             "DEGRADED: phase-3 tasks {:?} are parked in the dead-letter queue; \
              requeue with `m2td-cli dlq requeue --dir {dir}` and rerun",
-            report.dead_tasks,
+            d.dead_tasks,
         );
         return Ok(4);
     }

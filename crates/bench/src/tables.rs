@@ -4,7 +4,7 @@
 use crate::registry::SystemKind;
 use crate::report::TableResult;
 use m2td_core::{CoreProjection, M2tdOptions, PivotCombine, RunReport, Workbench, WorkbenchConfig};
-use m2td_dist::{d_m2td, ClusterModel, MapReduce};
+use m2td_dist::{d_m2td, ClusterModel, DistJob, MapReduce};
 use m2td_sampling::{
     GridSampling, LatinHypercubeSampling, RandomSampling, SamplingScheme, SliceSampling,
     StratifiedSampling,
@@ -119,6 +119,7 @@ pub fn run_table3(resolution: usize, rank: usize, servers: &[usize]) -> BenchRes
         &join_ranks,
         M2tdOptions::default(),
         &engine,
+        &DistJob::default(),
     )?;
 
     let mut t = TableResult::new(

@@ -8,7 +8,8 @@
 //! * **phase 2** — the stitched join tensor.
 //!
 //! A later run over the *same inputs* (guarded by a [`Fingerprint`] of the
-//! sub-tensor contents, pivot count, ranks and options) loads these
+//! sub-tensor contents, pivot count, ranks, options and the installed
+//! sketch and guard configs) loads these
 //! artifacts and skips straight to the first incomplete phase, so a
 //! phase-3 failure resumes from persisted phase-1 factors and phase-2 join
 //! cells instead of recomputing them. Stale or corrupt checkpoint files
@@ -57,7 +58,8 @@ pub(crate) use m2td_guard::integrity::{
 const QUARANTINE_KEEP: usize = 4;
 
 /// Identity of one D-M2TD invocation: checkpoints are only resumable when
-/// every field matches, including a content hash of both entry streams.
+/// every field matches, including a content hash of both entry streams
+/// and the sketch and guard configs Phase 1 ran under.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fingerprint {
     dims1: Vec<usize>,
@@ -100,7 +102,14 @@ impl Fingerprint {
             dims2: x2.dims().to_vec(),
             k,
             ranks: ranks.to_vec(),
-            options: format!("{opts:?}"),
+            // Phase 1 runs through `phase_gram` and `gram_factor`, so
+            // the installed sketch and guard configs (or their absence)
+            // decide its factors as much as the options do.
+            options: format!(
+                "{opts:?} sketch={:?} guard={:?}",
+                m2td_sketch::installed().then(m2td_sketch::config),
+                m2td_guard::installed().then(m2td_guard::config),
+            ),
             content_hash: h,
         }
     }

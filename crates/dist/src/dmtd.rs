@@ -13,17 +13,20 @@
 //!   its cells (TTM is linear in the tensor, so partial cores sum to the
 //!   exact core).
 //!
-//! ## Fault tolerance
+//! ## One entry point
 //!
-//! [`d_m2td_fault_tolerant`] executes the same dataflow under a seeded
-//! [`FaultConfig`]: task kills are retried with deterministic virtual
-//! backoff, stragglers are rescued by speculative re-execution, and each
-//! completed phase boundary can be persisted to a
-//! [`CheckpointStore`](crate::CheckpointStore) so a later run over the
-//! same inputs resumes from the first incomplete phase. Because every
-//! task is pure, any fault schedule that eventually succeeds produces
-//! factors and a core **bitwise identical** to the fault-free run at every
-//! `M2TD_THREADS` setting; `tests/fault_determinism.rs` pins this.
+//! [`d_m2td`] is the only way to run the dataflow. A [`DistJob`] carries
+//! its four settable values: the Phase-3 strategy, a seeded
+//! [`FaultConfig`] (task kills are retried with deterministic virtual
+//! backoff, stragglers are rescued by speculative re-execution), an
+//! optional [`CheckpointStore`](crate::CheckpointStore) persisting each
+//! completed phase boundary, and an optional [`JobRecovery`] (job
+//! manifest plus dead-letter queue) for task-level resume and degraded
+//! completion. `DistJob::default()` is the plain fault-free run. Because
+//! every task is pure, any fault schedule that eventually succeeds
+//! produces factors and a core **bitwise identical** to the fault-free
+//! run at every `M2TD_THREADS` setting; `tests/fault_determinism.rs` pins
+//! this.
 
 use crate::checkpoint::{CheckpointStore, Fingerprint};
 use crate::cluster::{ClusterModel, PhaseCost};
@@ -203,9 +206,9 @@ pub struct JobRecovery<'a> {
     /// Dead-letter queue for tasks whose retry budget is exhausted.
     pub dlq: &'a DlqStore,
     /// Minimum fraction of phase-3 partial cores that must survive for a
-    /// degraded completion; below it the run fails cleanly. Phases 1 and
-    /// 2 always require full coverage — their outputs feed every
-    /// downstream task.
+    /// degraded completion; below it (or when it is NaN) the run fails
+    /// cleanly. Phases 1 and 2 always require full coverage — their
+    /// outputs feed every downstream task.
     pub min_coverage: f64,
 }
 
@@ -224,25 +227,6 @@ impl<'a> JobRecovery<'a> {
         self.min_coverage = min_coverage.clamp(0.0, 1.0);
         self
     }
-}
-
-/// What [`d_m2td_resumable`] did beyond the decomposition itself.
-#[derive(Debug)]
-pub struct ResumeReport {
-    /// The (possibly degraded) decomposition.
-    pub dist: DistDecomposition,
-    /// Phase-3 reduce tasks missing from the core — parked in the
-    /// dead-letter queue (this run or a previous one) and not drained.
-    pub dead_tasks: Vec<u64>,
-    /// Reduce tasks replayed from manifest-recorded outputs instead of
-    /// re-running, across all phases.
-    pub resumed_tasks: usize,
-    /// Dead-letter entries drained by this run (requeued tasks that
-    /// completed).
-    pub drained: usize,
-    /// True when the core is missing at least one partial (coverage was
-    /// above the floor but below 1).
-    pub degraded: bool,
 }
 
 /// Shared mutable state of one resumable run.
@@ -407,6 +391,20 @@ pub struct DistDecomposition {
     pub phase2: PhaseStats,
     /// Phase 3 statistics (parallel core recovery).
     pub phase3: PhaseStats,
+    /// Phase-3 reduce tasks missing from the core — parked in the
+    /// dead-letter queue (this run or a previous one) and not drained.
+    /// Empty without a [`JobRecovery`].
+    pub dead_tasks: Vec<u64>,
+    /// Reduce tasks replayed from manifest-recorded outputs instead of
+    /// re-running, across all phases. Zero without a [`JobRecovery`].
+    pub resumed_tasks: usize,
+    /// Dead-letter entries drained by this run (requeued tasks that
+    /// completed). Zero without a [`JobRecovery`].
+    pub drained: usize,
+    /// True when the core is missing at least one partial (coverage was
+    /// at or above the floor but below 1). Never set without a
+    /// [`JobRecovery`].
+    pub degraded: bool,
 }
 
 impl DistDecomposition {
@@ -421,11 +419,12 @@ impl DistDecomposition {
 }
 
 /// How Phase 3 (core recovery) is distributed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Phase3Strategy {
     /// Partition the join cells across reducers; each computes a partial
     /// core via a full TTM chain over its cells, and the partial cores are
     /// summed (TTM is linear in the tensor). One MapReduce job.
+    #[default]
     ChunkPartition,
     /// The paper's literal dataflow (Section VI-D): one MapReduce job per
     /// mode — cells are shuffled by their all-but-one-mode key, each
@@ -434,14 +433,54 @@ pub enum Phase3Strategy {
     ModeShuffle,
 }
 
+/// Everything about one D-M2TD run beyond its inputs: how Phase 3 is
+/// distributed, the failure model, and the durable stores it may read and
+/// write. `DistJob::default()` is a fault-free, non-resumable
+/// [`Phase3Strategy::ChunkPartition`] run.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DistJob<'a> {
+    /// The Phase-3 dataflow.
+    pub phase3: Phase3Strategy,
+    /// Injected faults and the retry policy answering them.
+    pub faults: FaultConfig,
+    /// Phase-boundary checkpoints: phase 1 persists the combined factors,
+    /// phase 2 the join tensor, and a later run over the same inputs and
+    /// configuration loads them instead of recomputing.
+    pub checkpoint: Option<&'a CheckpointStore>,
+    /// Task-level resume and the dead-letter queue.
+    pub recovery: Option<JobRecovery<'a>>,
+}
+
 /// Runs D-M2TD over two PF-partitioned sub-tensors.
 ///
 /// Semantics (inputs, `k`, join-order `ranks`, options) match
 /// [`m2td_core::m2td_decompose`]; the result agrees with the serial
-/// implementation up to floating-point accumulation order. Phase 3 uses
-/// the [`Phase3Strategy::ChunkPartition`] dataflow; use
-/// [`d_m2td_with_phase3`] to select the paper's per-mode shuffle instead,
-/// or [`d_m2td_fault_tolerant`] to run under a failure model.
+/// implementation up to floating-point accumulation order.
+///
+/// With a [`CheckpointStore`] in `job`, each completed phase persists its
+/// output, and a later call over the same inputs loads the stored
+/// artifacts — so a run that died in phase 3 resumes from phases 1–2.
+/// Resumed phases report `resumed = true` and all-zero [`TaskCounters`].
+///
+/// With a [`JobRecovery`], the run also records every completed reduce
+/// task (with its serialized output) in a fingerprint-sealed
+/// [`JobManifest`], so a process killed mid-phase and restarted over the
+/// same inputs re-runs only incomplete tasks. A task killed on every
+/// allowed attempt then no longer fails the job: it is parked in the
+/// [`DlqStore`] with its envelope and attempt history. Phases 1 and 2
+/// still require full coverage (their outputs feed everything
+/// downstream), but phase 3 under [`Phase3Strategy::ChunkPartition`]
+/// completes **degraded** — summing the surviving partial cores — as long
+/// as coverage stays at or above [`JobRecovery::min_coverage`].
+/// `m2td-cli dlq requeue` marks parked tasks for re-execution; the next
+/// run re-runs them and drains their entries on success, converging to
+/// the bitwise fault-free result.
+///
+/// The determinism invariant: because tasks are pure, any fault schedule
+/// that eventually succeeds (including one interrupted and resumed from
+/// checkpoints) yields factors and core bitwise identical to the
+/// fault-free run, at every thread count. Without a recovery layer, a
+/// task killed on every allowed attempt surfaces [`DistError::Exhausted`].
 pub fn d_m2td(
     x1: &SparseTensor,
     x2: &SparseTensor,
@@ -449,154 +488,8 @@ pub fn d_m2td(
     ranks: &[usize],
     opts: M2tdOptions,
     engine: &MapReduce,
+    job: &DistJob<'_>,
 ) -> Result<DistDecomposition, DistError> {
-    d_m2td_with_phase3(
-        x1,
-        x2,
-        k,
-        ranks,
-        opts,
-        engine,
-        Phase3Strategy::ChunkPartition,
-    )
-}
-
-/// [`d_m2td`] with an explicit Phase-3 dataflow.
-pub fn d_m2td_with_phase3(
-    x1: &SparseTensor,
-    x2: &SparseTensor,
-    k: usize,
-    ranks: &[usize],
-    opts: M2tdOptions,
-    engine: &MapReduce,
-    phase3_strategy: Phase3Strategy,
-) -> Result<DistDecomposition, DistError> {
-    d_m2td_fault_tolerant(
-        x1,
-        x2,
-        k,
-        ranks,
-        opts,
-        engine,
-        phase3_strategy,
-        &FaultConfig::none(),
-        None,
-    )
-}
-
-/// [`d_m2td`] under a failure model, optionally with phase-boundary
-/// checkpointing.
-///
-/// With a [`CheckpointStore`], each completed phase persists its output
-/// (phase 1: combined factors; phase 2: join tensor), and a later call
-/// over the same inputs loads the stored artifacts instead of recomputing
-/// — so a run that died in phase 3 resumes from phases 1–2. Resumed
-/// phases report `resumed = true` and all-zero [`TaskCounters`].
-///
-/// The determinism invariant: because tasks are pure, any fault schedule
-/// that eventually succeeds (including one interrupted and resumed from
-/// checkpoints) yields factors and core bitwise identical to the
-/// fault-free run, at every thread count. A task killed on every allowed
-/// attempt surfaces [`DistError::Exhausted`].
-#[allow(clippy::too_many_arguments)]
-pub fn d_m2td_fault_tolerant(
-    x1: &SparseTensor,
-    x2: &SparseTensor,
-    k: usize,
-    ranks: &[usize],
-    opts: M2tdOptions,
-    engine: &MapReduce,
-    phase3_strategy: Phase3Strategy,
-    faults: &FaultConfig,
-    checkpoint: Option<&CheckpointStore>,
-) -> Result<DistDecomposition, DistError> {
-    d_m2td_run(
-        x1,
-        x2,
-        k,
-        ranks,
-        opts,
-        engine,
-        phase3_strategy,
-        faults,
-        checkpoint,
-        None,
-    )
-    .map(|(dist, _)| dist)
-}
-
-/// [`d_m2td_fault_tolerant`] with job-level resume and a dead-letter
-/// queue.
-///
-/// Beyond phase-boundary checkpoints, the run records every completed
-/// reduce task (with its serialized output) in a fingerprint-sealed
-/// [`JobManifest`], so a process killed mid-phase and restarted over the
-/// same inputs re-runs only incomplete tasks. A task killed on every
-/// allowed attempt no longer fails the job: it is parked in the
-/// [`DlqStore`] with its envelope and attempt history. Phases 1 and 2
-/// still require full coverage (their outputs feed everything
-/// downstream), but phase 3 under [`Phase3Strategy::ChunkPartition`]
-/// completes **degraded** — summing the surviving partial cores — as
-/// long as coverage stays at or above [`JobRecovery::min_coverage`].
-/// `m2td-cli dlq requeue` marks parked tasks for re-execution; the next
-/// resumable run re-runs them and drains their entries on success,
-/// converging to the bitwise fault-free result.
-#[allow(clippy::too_many_arguments)]
-pub fn d_m2td_resumable(
-    x1: &SparseTensor,
-    x2: &SparseTensor,
-    k: usize,
-    ranks: &[usize],
-    opts: M2tdOptions,
-    engine: &MapReduce,
-    phase3_strategy: Phase3Strategy,
-    faults: &FaultConfig,
-    checkpoint: Option<&CheckpointStore>,
-    recovery: &JobRecovery<'_>,
-) -> Result<ResumeReport, DistError> {
-    d_m2td_run(
-        x1,
-        x2,
-        k,
-        ranks,
-        opts,
-        engine,
-        phase3_strategy,
-        faults,
-        checkpoint,
-        Some(recovery),
-    )
-    .map(|(dist, info)| ResumeReport {
-        dist,
-        dead_tasks: info.dead_tasks,
-        resumed_tasks: info.resumed_tasks,
-        drained: info.drained,
-        degraded: info.degraded,
-    })
-}
-
-/// Resume bookkeeping accumulated by [`d_m2td_run`].
-#[derive(Debug, Default)]
-struct RunInfo {
-    dead_tasks: Vec<u64>,
-    resumed_tasks: usize,
-    drained: usize,
-    degraded: bool,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn d_m2td_run(
-    x1: &SparseTensor,
-    x2: &SparseTensor,
-    k: usize,
-    ranks: &[usize],
-    opts: M2tdOptions,
-    engine: &MapReduce,
-    phase3_strategy: Phase3Strategy,
-    faults: &FaultConfig,
-    checkpoint: Option<&CheckpointStore>,
-    recovery: Option<&JobRecovery<'_>>,
-) -> Result<(DistDecomposition, RunInfo), DistError> {
     let m1 = x1.order();
     let m2 = x2.order();
     if k == 0 || k >= m1 || k >= m2 {
@@ -611,6 +504,13 @@ fn d_m2td_run(
             k + (m1 - k) + (m2 - k)
         )));
     }
+    let DistJob {
+        phase3: phase3_strategy,
+        faults,
+        checkpoint,
+        recovery,
+    } = *job;
+    let recovery = recovery.as_ref();
     let plan = &faults.plan;
     let policy = &faults.policy;
     // Phase-boundary sentinel: reject poisoned inputs before any phase
@@ -637,7 +537,9 @@ fn d_m2td_run(
             _ => None,
         }
     };
-    let mut info = RunInfo::default();
+    let mut dead_tasks: Vec<u64> = Vec::new();
+    let mut resumed_tasks = 0;
+    let mut degraded = false;
     let ckpt_factors = checkpoint.and_then(|c| c.load_phase1(&fp));
     let ckpt_join = checkpoint.and_then(|c| c.load_phase2(&fp));
     if checkpoint.is_some() && m2td_obs::installed() {
@@ -712,7 +614,7 @@ fn d_m2td_run(
                 },
             )?;
             require_full_coverage(1, &sharded1)?;
-            info.resumed_tasks += sharded1.resumed;
+            resumed_tasks += sharded1.resumed;
             let (stats1, tasks1) = (sharded1.stats, sharded1.counters);
             let mut factor_sets = Vec::with_capacity(sharded1.outputs.len());
             for (_, outcome) in sharded1.outputs {
@@ -876,7 +778,7 @@ fn d_m2td_run(
                 },
             )?;
             require_full_coverage(2, &sharded2)?;
-            info.resumed_tasks += sharded2.resumed;
+            resumed_tasks += sharded2.resumed;
             let (stats2, tasks2) = (sharded2.stats, sharded2.counters);
 
             // Assemble the join tensor from the per-pivot groups.
@@ -961,7 +863,7 @@ fn d_m2td_run(
                     compute().into()
                 },
             )?;
-            info.resumed_tasks += sharded3.resumed;
+            resumed_tasks += sharded3.resumed;
             // Degraded completion: partial cores sum, so a missing task
             // only loses its cells' contribution. Refuse below the
             // coverage floor (or at all without a recovery layer — the
@@ -971,20 +873,23 @@ fn d_m2td_run(
             if missing > 0 {
                 let covered = (total as usize - missing) as f64 / total as f64;
                 let floor = recovery.map(|r| r.min_coverage).unwrap_or(1.0);
-                if covered < floor {
+                // Refuse unless the floor is met: a NaN floor (which
+                // `with_min_coverage`'s clamp passes through) refuses
+                // instead of accepting any degradation.
+                if floor.is_nan() || covered < floor {
                     return Err(DistError::Worker(format!(
                         "phase-3 coverage {covered:.3} is below the {floor:.3} floor: \
                          {missing} of {total} partial cores are parked in the dead-letter queue"
                     )));
                 }
-                info.degraded = true;
-                info.dead_tasks = sharded3
+                degraded = true;
+                dead_tasks = sharded3
                     .dead
                     .iter()
                     .map(|d| d.task)
                     .chain(sharded3.skipped_dead.iter().copied())
                     .collect();
-                info.dead_tasks.sort_unstable();
+                dead_tasks.sort_unstable();
                 m2td_obs::counter_add("dlq.degraded_completions", 1);
             }
             let (stats3, tasks3) = (sharded3.stats, sharded3.counters);
@@ -1001,7 +906,7 @@ fn d_m2td_run(
             })?;
             (core, stats3, tasks3)
         }
-        Phase3Strategy::ModeShuffle => phase3_mode_shuffle(&join, &proj_factors, engine, faults)?,
+        Phase3Strategy::ModeShuffle => phase3_mode_shuffle(&join, &proj_factors, engine, &faults)?,
     };
     let phase3 = PhaseStats::computed(t3.elapsed().as_secs_f64(), stats3, tasks3);
     // Phase-3 boundary sentinel: the recovered core is the run's output;
@@ -1009,19 +914,20 @@ fn d_m2td_run(
     // guard layer exists to prevent.
     m2td_guard::check_dense("phase3.core", core.dims(), core.as_slice())?;
 
-    if let Some(state) = &resume_state {
-        info.drained = state.drained.load(Ordering::Relaxed);
-    }
+    let drained = resume_state
+        .as_ref()
+        .map_or(0, |state| state.drained.load(Ordering::Relaxed));
     let tucker = TuckerDecomp::new(core, factors)?;
-    Ok((
-        DistDecomposition {
-            tucker,
-            phase1,
-            phase2,
-            phase3,
-        },
-        info,
-    ))
+    Ok(DistDecomposition {
+        tucker,
+        phase1,
+        phase2,
+        phase3,
+        dead_tasks,
+        resumed_tasks,
+        drained,
+        degraded,
+    })
 }
 
 /// Phase 3 via the paper's dataflow: one MapReduce job per mode, cells
@@ -1171,7 +1077,7 @@ mod tests {
         let serial = m2td_decompose(&x1, &x2, 1, &ranks, opts).unwrap();
         for workers in [1, 2, 4] {
             let engine = MapReduce::new(workers);
-            let dist = d_m2td(&x1, &x2, 1, &ranks, opts, &engine).unwrap();
+            let dist = d_m2td(&x1, &x2, 1, &ranks, opts, &engine, &DistJob::default()).unwrap();
             let d_core = dist
                 .tucker
                 .core
@@ -1209,7 +1115,16 @@ mod tests {
             ..Default::default()
         };
         let serial = m2td_decompose(&x1, &x2, 1, &[2, 2, 2], opts).unwrap();
-        let dist = d_m2td(&x1, &x2, 1, &[2, 2, 2], opts, &MapReduce::new(3)).unwrap();
+        let dist = d_m2td(
+            &x1,
+            &x2,
+            1,
+            &[2, 2, 2],
+            opts,
+            &MapReduce::new(3),
+            &DistJob::default(),
+        )
+        .unwrap();
         let d = dist
             .tucker
             .core
@@ -1225,24 +1140,30 @@ mod tests {
         let ranks = [3, 3, 3];
         let opts = M2tdOptions::default();
         let engine = MapReduce::new(3);
-        let chunk = d_m2td_with_phase3(
+        let chunk = d_m2td(
             &x1,
             &x2,
             1,
             &ranks,
             opts,
             &engine,
-            Phase3Strategy::ChunkPartition,
+            &DistJob {
+                phase3: Phase3Strategy::ChunkPartition,
+                ..Default::default()
+            },
         )
         .unwrap();
-        let shuffle = d_m2td_with_phase3(
+        let shuffle = d_m2td(
             &x1,
             &x2,
             1,
             &ranks,
             opts,
             &engine,
-            Phase3Strategy::ModeShuffle,
+            &DistJob {
+                phase3: Phase3Strategy::ModeShuffle,
+                ..Default::default()
+            },
         )
         .unwrap();
         let d = chunk
@@ -1272,14 +1193,17 @@ mod tests {
         let x2 = thin(&x2_full, 3);
         let opts = M2tdOptions::default();
         let serial = m2td_decompose(&x1, &x2, 1, &[2, 2, 2], opts).unwrap();
-        let dist = d_m2td_with_phase3(
+        let dist = d_m2td(
             &x1,
             &x2,
             1,
             &[2, 2, 2],
             opts,
             &MapReduce::new(2),
-            Phase3Strategy::ModeShuffle,
+            &DistJob {
+                phase3: Phase3Strategy::ModeShuffle,
+                ..Default::default()
+            },
         )
         .unwrap();
         let d = dist
@@ -1301,6 +1225,7 @@ mod tests {
             &[2, 2, 2],
             M2tdOptions::default(),
             &MapReduce::new(2),
+            &DistJob::default(),
         )
         .unwrap();
         assert!(dist.phase1.shuffle.map_records > 0);
@@ -1324,6 +1249,7 @@ mod tests {
             &[3, 3, 3],
             M2tdOptions::default(),
             &MapReduce::new(2),
+            &DistJob::default(),
         )
         .unwrap();
         let model = ClusterModel::new(4);
@@ -1340,10 +1266,12 @@ mod tests {
     fn invalid_inputs_rejected() {
         let (x1, x2) = sub_tensors(4, 3);
         let e = MapReduce::new(2);
-        assert!(d_m2td(&x1, &x2, 0, &[2, 2, 2], M2tdOptions::default(), &e).is_err());
-        assert!(d_m2td(&x1, &x2, 1, &[2, 2], M2tdOptions::default(), &e).is_err());
+        let opts = M2tdOptions::default();
+        let job = DistJob::default();
+        assert!(d_m2td(&x1, &x2, 0, &[2, 2, 2], opts, &e, &job).is_err());
+        assert!(d_m2td(&x1, &x2, 1, &[2, 2], opts, &e, &job).is_err());
         let empty = SparseTensor::empty(&[4, 3]);
-        assert!(d_m2td(&x1, &empty, 1, &[2, 2, 2], M2tdOptions::default(), &e).is_err());
+        assert!(d_m2td(&x1, &empty, 1, &[2, 2, 2], opts, &e, &job).is_err());
     }
 
     #[test]
@@ -1352,21 +1280,22 @@ mod tests {
         let ranks = [3, 3, 3];
         let opts = M2tdOptions::default();
         let engine = MapReduce::new(3);
-        let clean = d_m2td(&x1, &x2, 1, &ranks, opts, &engine).unwrap();
+        let clean = d_m2td(&x1, &x2, 1, &ranks, opts, &engine, &DistJob::default()).unwrap();
         let faults = FaultConfig {
             plan: FaultPlan::new(21, 0.5, 0.4, 30.0),
             policy: RetryPolicy::default(),
         };
-        let faulty = d_m2td_fault_tolerant(
+        let faulty = d_m2td(
             &x1,
             &x2,
             1,
             &ranks,
             opts,
             &engine,
-            Phase3Strategy::ChunkPartition,
-            &faults,
-            None,
+            &DistJob {
+                faults,
+                ..Default::default()
+            },
         )
         .unwrap();
         assert_eq!(
@@ -1397,6 +1326,7 @@ mod tests {
             &ranks,
             opts,
             &MapReduce::new(3).with_transport(crate::TransportKind::Direct),
+            &DistJob::default(),
         )
         .unwrap();
         let channel = d_m2td(
@@ -1406,6 +1336,7 @@ mod tests {
             &ranks,
             opts,
             &MapReduce::new(3).with_transport(crate::TransportKind::Channel),
+            &DistJob::default(),
         )
         .unwrap();
         assert_eq!(
@@ -1433,7 +1364,7 @@ mod tests {
         let ranks = [3, 3, 3];
         let opts = M2tdOptions::default();
         let engine = MapReduce::new(2); // 2 phase-3 partitions
-        let clean = d_m2td(&x1, &x2, 1, &ranks, opts, &engine).unwrap();
+        let clean = d_m2td(&x1, &x2, 1, &ranks, opts, &engine, &DistJob::default()).unwrap();
 
         // Run 1: partial core 1's every attempt dies — degraded result.
         let doomed = FaultConfig {
@@ -1442,17 +1373,18 @@ mod tests {
         };
         let dlq = DlqStore::open(&dir);
         let recovery = JobRecovery::new(&manifest, &dlq).with_min_coverage(0.5);
-        let report = d_m2td_resumable(
+        let report = d_m2td(
             &x1,
             &x2,
             1,
             &ranks,
             opts,
             &engine,
-            Phase3Strategy::ChunkPartition,
-            &doomed,
-            None,
-            &recovery,
+            &DistJob {
+                faults: doomed,
+                recovery: Some(recovery),
+                ..Default::default()
+            },
         )
         .unwrap();
         assert!(report.degraded);
@@ -1462,41 +1394,45 @@ mod tests {
         assert_eq!((entry.job, entry.phase, entry.task), (PHASE3_JOB, 3, 1));
         assert_eq!(entry.attempts, RetryPolicy::default().max_attempts);
         // The degraded core differs from the clean one (cells missing).
-        assert_ne!(
-            report.dist.tucker.core.as_slice(),
-            clean.tucker.core.as_slice()
-        );
+        assert_ne!(report.tucker.core.as_slice(), clean.tucker.core.as_slice());
 
-        // A tighter floor refuses the same degradation outright.
-        let strict = JobRecovery::new(&manifest, &dlq).with_min_coverage(0.9);
-        let err = d_m2td_resumable(
-            &x1,
-            &x2,
-            1,
-            &ranks,
-            opts,
-            &engine,
-            Phase3Strategy::ChunkPartition,
-            &doomed,
-            None,
-            &strict,
-        )
-        .unwrap_err();
-        assert!(matches!(err, DistError::Worker(_)), "got {err}");
+        // A tighter floor refuses the same degradation outright, and so
+        // does a NaN floor (which the clamp passes through).
+        for floor in [0.9, f64::NAN] {
+            let strict = JobRecovery::new(&manifest, &dlq).with_min_coverage(floor);
+            let err = d_m2td(
+                &x1,
+                &x2,
+                1,
+                &ranks,
+                opts,
+                &engine,
+                &DistJob {
+                    faults: doomed,
+                    recovery: Some(strict),
+                    ..Default::default()
+                },
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, DistError::Worker(_)),
+                "floor {floor}: got {err}"
+            );
+        }
 
         // Run 2: requeue, drop the doom — converges to the clean result.
         assert_eq!(dlq.requeue_all().unwrap(), 1);
-        let report2 = d_m2td_resumable(
+        let report2 = d_m2td(
             &x1,
             &x2,
             1,
             &ranks,
             opts,
             &engine,
-            Phase3Strategy::ChunkPartition,
-            &FaultConfig::none(),
-            None,
-            &recovery,
+            &DistJob {
+                recovery: Some(recovery),
+                ..Default::default()
+            },
         )
         .unwrap();
         assert!(!report2.degraded);
@@ -1504,7 +1440,7 @@ mod tests {
         assert!(report2.resumed_tasks > 0, "manifest resumed nothing");
         assert_eq!(dlq.depth(), 0);
         assert_eq!(
-            report2.dist.tucker.core.as_slice(),
+            report2.tucker.core.as_slice(),
             clean.tucker.core.as_slice(),
             "requeued run is not bitwise identical to the clean run"
         );
@@ -1525,17 +1461,18 @@ mod tests {
             policy: RetryPolicy::default(),
         };
         let recovery = JobRecovery::new(&manifest, &dlq);
-        let err = d_m2td_resumable(
+        let err = d_m2td(
             &x1,
             &x2,
             1,
             &[2, 2, 2],
             M2tdOptions::default(),
             &MapReduce::new(2),
-            Phase3Strategy::ChunkPartition,
-            &doomed,
-            None,
-            &recovery,
+            &DistJob {
+                faults: doomed,
+                recovery: Some(recovery),
+                ..Default::default()
+            },
         )
         .unwrap_err();
         assert!(matches!(err, DistError::Exhausted(_)), "got {err}");
@@ -1554,29 +1491,31 @@ mod tests {
         let ranks = [3, 3, 3];
         let opts = M2tdOptions::default();
         let engine = MapReduce::new(2);
-        let first = d_m2td_fault_tolerant(
+        let first = d_m2td(
             &x1,
             &x2,
             1,
             &ranks,
             opts,
             &engine,
-            Phase3Strategy::ChunkPartition,
-            &FaultConfig::none(),
-            Some(&store),
+            &DistJob {
+                checkpoint: Some(&store),
+                ..Default::default()
+            },
         )
         .unwrap();
         assert!(!first.phase1.resumed && !first.phase2.resumed);
-        let second = d_m2td_fault_tolerant(
+        let second = d_m2td(
             &x1,
             &x2,
             1,
             &ranks,
             opts,
             &engine,
-            Phase3Strategy::ChunkPartition,
-            &FaultConfig::none(),
-            Some(&store),
+            &DistJob {
+                checkpoint: Some(&store),
+                ..Default::default()
+            },
         )
         .unwrap();
         assert!(second.phase1.resumed && second.phase2.resumed);

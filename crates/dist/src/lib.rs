@@ -16,17 +16,16 @@
 //!   point accumulation order.
 
 //!
-//! Fault tolerance (DESIGN.md §9): [`d_m2td_fault_tolerant`] runs the same
-//! dataflow under a seeded [`FaultPlan`](m2td_fault::FaultPlan) with
-//! retry/backoff and speculative re-execution, persisting phase boundaries
-//! to a [`CheckpointStore`] so interrupted runs resume instead of
-//! recomputing.
-
+//! One entry point: [`d_m2td`] takes a [`DistJob`] naming the Phase-3
+//! dataflow, a seeded [`FaultConfig`] (retry/backoff and speculative
+//! re-execution, DESIGN.md §9), an optional [`CheckpointStore`] so
+//! interrupted runs resume from phase boundaries instead of recomputing,
+//! and an optional [`JobRecovery`] for task-level resume.
 //!
-//! Sharded execution (DESIGN.md §14): tasks can additionally cross a
-//! [`Transport`] boundary as checksummed [`TaskEnvelope`]s, are scheduled
-//! by a work-stealing wave scheduler, and exhausted tasks park in a
-//! [`DlqStore`] dead-letter queue while a [`JobManifest`] records
+//! Sharded execution (DESIGN.md §14): tasks can additionally cross an
+//! in-process [`ChannelTransport`] as checksummed [`TaskEnvelope`]s, are
+//! scheduled by a work-stealing wave scheduler, and exhausted tasks park
+//! in a [`DlqStore`] dead-letter queue while a [`JobManifest`] records
 //! per-phase completion for job-level resume.
 
 mod checkpoint;
@@ -42,12 +41,9 @@ pub use checkpoint::{CheckpointError, CheckpointStore, Fingerprint};
 pub use cluster::{ClusterModel, FailureModel, PhaseCost};
 pub use dlq::{DlqEntry, DlqStore};
 pub use dmtd::{
-    d_m2td, d_m2td_fault_tolerant, d_m2td_resumable, d_m2td_with_phase3, DistDecomposition,
-    DistError, FaultConfig, JobRecovery, Phase3Strategy, PhaseStats, ResumeReport, PHASE1_JOB,
-    PHASE2_JOB, PHASE3_JOB,
+    d_m2td, DistDecomposition, DistError, DistJob, FaultConfig, JobRecovery, Phase3Strategy,
+    PhaseStats, PHASE1_JOB, PHASE2_JOB, PHASE3_JOB,
 };
 pub use manifest::{JobManifest, ManifestStore, PhaseManifest};
 pub use mapreduce::{MapReduce, ShuffleStats};
-pub use transport::{
-    ChannelTransport, DirectTransport, TaskEnvelope, Transport, TransportError, TransportKind,
-};
+pub use transport::{ChannelTransport, TaskEnvelope, TransportError, TransportKind};

@@ -17,32 +17,30 @@
 //! counters are merged in task-id order, keeping the determinism contract
 //! independent of who ran what.
 //!
-//! ## Fault tolerance
+//! ## Faults, the wire and recovery
 //!
-//! [`MapReduce::run_with_faults`] executes the same job under a seeded
-//! [`FaultPlan`]: task attempts can be **killed** (output discarded, task
-//! retried with deterministic virtual backoff, bounded by the
-//! [`RetryPolicy`]) or can **straggle** (charged a virtual delay; delays
-//! beyond the policy's speculation threshold launch a backup copy whose
-//! identical result is used instead). Because map and reduce closures are
-//! pure, any fault schedule that eventually succeeds yields outputs
-//! bitwise identical to the fault-free run — faults only change the
-//! [`TaskCounters`] and virtual time. A task killed on every allowed
-//! attempt fails the job with [`FaultError::RetryExhausted`].
+//! Every job runs through one executor, [`MapReduce::run_sharded`]; map
+//! chunks and reduce groups are the retryable task units, identified as
+//! `(job, kind, index)`. Under a seeded [`FaultPlan`] an attempt can be
+//! **killed** (output discarded, task retried with deterministic virtual
+//! backoff, bounded by the [`RetryPolicy`]) or can **straggle** (charged
+//! a virtual delay; delays beyond the policy's speculation threshold
+//! launch a backup copy whose identical result is used instead). Because
+//! map and reduce closures are pure, any fault schedule that eventually
+//! succeeds yields outputs bitwise identical to the fault-free run —
+//! faults only change the [`TaskCounters`] and virtual time.
 //!
-//! ## Sharded execution
-//!
-//! [`MapReduce::run_sharded`] additionally moves every task's inputs and
-//! outputs across the configured [`TransportKind`] as checksummed
-//! [`TaskEnvelope`]s (a dropped or corrupted envelope counts as a failed
-//! attempt and retries), consults a [`WaveRecovery`] hook so completed
-//! reduce tasks resume from recorded outputs, and *parks* exhausted
-//! reduce tasks instead of failing — the caller routes them to the
-//! dead-letter queue and decides whether coverage allows a degraded
-//! result.
+//! Under [`TransportKind::Channel`] every task's inputs and outputs cross
+//! the wire as checksummed [`TaskEnvelope`]s (a dropped or corrupted
+//! envelope counts as a failed attempt and retries). A [`WaveRecovery`]
+//! hook, when attached, lets completed reduce tasks resume from recorded
+//! outputs and *parks* exhausted reduce tasks instead of failing — the
+//! caller routes them to the dead-letter queue and decides whether
+//! coverage allows a degraded result. Without one, a task killed on every
+//! allowed attempt fails the job with [`FaultError::RetryExhausted`].
 
 use crate::scheduler::{run_wave, DeadTask, WaveSpec};
-use crate::transport::{ChannelTransport, TaskEnvelope, Transport, TransportError, TransportKind};
+use crate::transport::{ChannelTransport, TaskEnvelope, TransportError, TransportKind};
 use m2td_fault::{FaultError, FaultPlan, RetryPolicy, TaskCounters, TaskKind};
 use m2td_json::{FromJson, Json, ToJson};
 use std::collections::{BTreeMap, BTreeSet};
@@ -129,29 +127,21 @@ pub(crate) struct ShardedOutput<R> {
     pub reduce_tasks: u64,
 }
 
-/// Serializes `value` into an envelope, pushes it across the transport,
-/// and decodes the survivor. The checksum guarantees wire damage surfaces
-/// here as an error (a retryable failed attempt), never as silent data
-/// corruption downstream.
-#[allow(clippy::too_many_arguments)] // the envelope identity header, spelled out
+/// Serializes `value` into an envelope stamped with the run's identity,
+/// pushes it across the transport, and decodes the survivor. The checksum
+/// guarantees wire damage surfaces here as an error (a retryable failed
+/// attempt), never as silent data corruption downstream.
 fn ship<T: ToJson, U: FromJson>(
     transport: &ChannelTransport,
-    job: u64,
-    phase: u8,
+    run: &ShardedRun<'_>,
     kind: TaskKind,
     task: u64,
     attempt: u32,
     leg: u32,
     value: &T,
 ) -> Result<U, TransportError> {
-    let envelope = TaskEnvelope::new(
-        job,
-        phase,
-        kind,
-        task,
-        attempt,
-        value.to_json().to_compact(),
-    );
+    let payload = value.to_json().to_compact();
+    let envelope = TaskEnvelope::new(run.job, run.phase, kind, task, attempt, payload);
     let delivered = transport.deliver(&envelope, leg)?;
     let doc = Json::parse(&delivered.payload)
         .map_err(|e| TransportError::Malformed(format!("payload parse: {e}")))?;
@@ -224,6 +214,10 @@ impl MapReduce {
     /// grouped by key (shuffle); `reduce` folds each group. Returns the
     /// reduce outputs in ascending key order plus shuffle statistics.
     ///
+    /// This is the engine's one job executor run as job 0 with no
+    /// injected faults and no recovery hook, so it honours the engine's
+    /// transport like every other job — hence the JSON bounds.
+    ///
     /// ```
     /// use m2td_dist::MapReduce;
     ///
@@ -238,133 +232,39 @@ impl MapReduce {
     /// ```
     pub fn run<I, K, V, R, M, F>(&self, inputs: Vec<I>, map: M, reduce: F) -> (Vec<R>, ShuffleStats)
     where
-        I: Send + Sync + Clone,
-        K: Ord + Send + Sync,
-        V: Send + Sync + Clone,
-        R: Send,
+        I: Send + Sync + Clone + ToJson + FromJson,
+        K: Ord + Send + Sync + Clone + ToJson + FromJson,
+        V: Send + Sync + Clone + ToJson + FromJson,
+        R: Send + ToJson + FromJson,
         M: Fn(I) -> Vec<(K, V)> + Sync,
         F: Fn(&K, Vec<V>) -> R + Sync,
     {
-        let (out, stats, _) = self
-            .run_with_faults(
-                0,
-                inputs,
-                map,
-                reduce,
-                &FaultPlan::none(),
-                &RetryPolicy::default(),
-            )
+        let run = ShardedRun {
+            job: 0,
+            phase: 0,
+            plan: &FaultPlan::none(),
+            policy: &RetryPolicy::default(),
+            recovery: None,
+        };
+        let out = self
+            .run_sharded(&run, inputs, map, reduce)
             .expect("a fault-free job cannot exhaust its retry budget");
-        (out, stats)
+        (out.outputs.into_iter().map(|(_, r)| r).collect(), out.stats)
     }
 
-    /// [`MapReduce::run`] under a fault plan: map chunks and reduce groups
-    /// are the retryable task units, identified as `(job, kind, index)`.
-    /// Returns the reduce outputs, shuffle statistics, and the execution
-    /// counters accumulated across both task phases; fails with
-    /// [`FaultError::RetryExhausted`] when a task is killed on every
-    /// attempt the `policy` allows.
+    /// The one job executor. Task inputs and outputs cross the configured
+    /// transport as checksummed envelopes (both legs of every attempt);
+    /// with a recovery hook attached, completed reduce tasks resume from
+    /// its recorded outputs and exhausted reduce tasks are parked for the
+    /// dead-letter queue instead of failing the job (map exhaustion still
+    /// fails — without its pairs the shuffle groups are wrong for every
+    /// reducer). Without one, the first exhausted task fails the job with
+    /// [`FaultError::RetryExhausted`].
     ///
-    /// Counters are deterministic for a given `(plan, policy, job, W)` —
-    /// fault decisions depend only on task identity, and per-task deltas
-    /// are merged in task order, so the physical thread count never shows
-    /// through.
-    pub fn run_with_faults<I, K, V, R, M, F>(
-        &self,
-        job: u64,
-        inputs: Vec<I>,
-        map: M,
-        reduce: F,
-        plan: &FaultPlan,
-        policy: &RetryPolicy,
-    ) -> Result<(Vec<R>, ShuffleStats, TaskCounters), FaultError>
-    where
-        I: Send + Sync + Clone,
-        K: Ord + Send + Sync,
-        V: Send + Sync + Clone,
-        R: Send,
-        M: Fn(I) -> Vec<(K, V)> + Sync,
-        F: Fn(&K, Vec<V>) -> R + Sync,
-    {
-        let _span = m2td_obs::span!("mapreduce.job", job = job);
-        let map_records = inputs.len();
-        let mut totals = TaskCounters::default();
-
-        // ---- Map phase: chunk inputs, one task per chunk. ----
-        let chunks = chunk_inputs(inputs, self.workers);
-        let map_tasks: Vec<u64> = (0..chunks.len() as u64).collect();
-        let map_wave = run_wave(
-            &WaveSpec {
-                job,
-                kind: TaskKind::Map,
-                workers: self.workers,
-                plan,
-                policy,
-                park_exhausted: false,
-            },
-            &map_tasks,
-            |t, _attempt| {
-                let mut pairs = Vec::new();
-                for item in chunks[t as usize].iter().cloned() {
-                    pairs.extend(map(item));
-                }
-                Ok::<_, TransportError>(pairs)
-            },
-            |_, _| {},
-        )?;
-        totals.absorb(&map_wave.counters);
-
-        // ---- Shuffle: chunk order = input order, group by key. ----
-        let mut shuffled_pairs = 0;
-        let mut groups: BTreeMap<K, Vec<V>> = BTreeMap::new();
-        for (_, pairs) in map_wave.outputs {
-            for (k, v) in pairs {
-                shuffled_pairs += 1;
-                groups.entry(k).or_default().push(v);
-            }
-        }
-        let reduce_groups = groups.len();
-
-        // ---- Reduce phase: one task per key group, in key order. ----
-        let indexed: Vec<(K, Vec<V>)> = groups.into_iter().collect();
-        let reduce_tasks: Vec<u64> = (0..indexed.len() as u64).collect();
-        let reduce_wave = run_wave(
-            &WaveSpec {
-                job,
-                kind: TaskKind::Reduce,
-                workers: self.workers,
-                plan,
-                policy,
-                park_exhausted: false,
-            },
-            &reduce_tasks,
-            |t, _attempt| {
-                let (k, vs) = &indexed[t as usize];
-                Ok::<_, TransportError>(reduce(k, vs.clone()))
-            },
-            |_, _| {},
-        )?;
-        totals.absorb(&reduce_wave.counters);
-        mirror_counters(&totals);
-
-        Ok((
-            reduce_wave.outputs.into_iter().map(|(_, r)| r).collect(),
-            ShuffleStats {
-                map_records,
-                shuffled_pairs,
-                reduce_groups,
-            },
-            totals,
-        ))
-    }
-
-    /// [`MapReduce::run_with_faults`] with the full distribution story:
-    /// task inputs and outputs cross the configured transport as
-    /// checksummed envelopes (both legs of every attempt), completed
-    /// reduce tasks resume from the recovery hook's recorded outputs,
-    /// and exhausted reduce tasks are parked for the dead-letter queue
-    /// instead of failing the job (map exhaustion still fails — without
-    /// its pairs the shuffle groups are wrong for every reducer).
+    /// Outputs and counters are deterministic for a given
+    /// `(plan, policy, job, W)` — fault decisions depend only on task
+    /// identity, and per-task deltas are merged in task order, so the
+    /// physical thread count never shows through.
     pub(crate) fn run_sharded<I, K, V, R, M, F>(
         &self,
         run: &ShardedRun<'_>,
@@ -380,8 +280,6 @@ impl MapReduce {
         M: Fn(I) -> Vec<(K, V)> + Sync,
         F: Fn(&K, Vec<V>) -> R + Sync,
     {
-        // Same span label as run_with_faults: telemetry consumers see one
-        // job taxonomy whichever execution path ran.
         let _span = m2td_obs::span!("mapreduce.job", job = run.job);
         let map_records = inputs.len();
         let mut totals = TaskCounters::default();
@@ -406,7 +304,7 @@ impl MapReduce {
             |t, attempt| {
                 let chunk = &chunks[t as usize];
                 let input: Vec<I> = match &transport {
-                    Some(ch) => ship(ch, run.job, run.phase, TaskKind::Map, t, attempt, 0, chunk)?,
+                    Some(ch) => ship(ch, run, TaskKind::Map, t, attempt, 0, chunk)?,
                     None => chunk.clone(),
                 };
                 let mut pairs: Vec<(K, V)> = Vec::new();
@@ -414,7 +312,7 @@ impl MapReduce {
                     pairs.extend(map(item));
                 }
                 match &transport {
-                    Some(ch) => ship(ch, run.job, run.phase, TaskKind::Map, t, attempt, 1, &pairs),
+                    Some(ch) => ship(ch, run, TaskKind::Map, t, attempt, 1, &pairs),
                     None => Ok(pairs),
                 }
             },
@@ -485,22 +383,13 @@ impl MapReduce {
                 let (k, vs): (K, Vec<V>) = match &transport {
                     Some(ch) => {
                         let input = (k.clone(), vs.clone());
-                        ship(
-                            ch,
-                            run.job,
-                            run.phase,
-                            TaskKind::Reduce,
-                            t,
-                            attempt,
-                            0,
-                            &input,
-                        )?
+                        ship(ch, run, TaskKind::Reduce, t, attempt, 0, &input)?
                     }
                     None => (k.clone(), vs.clone()),
                 };
                 let r = reduce(&k, vs);
                 match &transport {
-                    Some(ch) => ship(ch, run.job, run.phase, TaskKind::Reduce, t, attempt, 1, &r),
+                    Some(ch) => ship(ch, run, TaskKind::Reduce, t, attempt, 1, &r),
                     None => Ok(r),
                 }
             },
@@ -557,10 +446,10 @@ mod tests {
     #[test]
     fn word_count_style_job() {
         let engine = MapReduce::new(4);
-        let docs = vec!["a b a", "b c", "a"];
+        let docs: Vec<String> = ["a b a", "b c", "a"].map(String::from).to_vec();
         let (counts, stats) = engine.run(
             docs,
-            |doc: &str| doc.split(' ').map(|w| (w.to_string(), 1usize)).collect(),
+            |doc: String| doc.split(' ').map(|w| (w.to_string(), 1usize)).collect(),
             |k, vs| (k.clone(), vs.len()),
         );
         assert_eq!(
@@ -642,7 +531,7 @@ mod tests {
     fn zero_workers_clamped_to_one() {
         let engine = MapReduce::new(0);
         assert_eq!(engine.workers(), 1);
-        let (out, _) = engine.run(vec![1u8, 2], |x: u8| vec![((), x)], |_, vs: Vec<u8>| vs);
+        let (out, _) = engine.run(vec![1u8, 2], |x: u8| vec![(0u8, x)], |_, vs: Vec<u8>| vs);
         assert_eq!(out, vec![vec![1, 2]]);
     }
 
@@ -657,101 +546,6 @@ mod tests {
         assert_eq!(out, vec![(0, 30), (1, 60)]);
         assert_eq!(stats.shuffled_pairs, 4);
     }
-
-    type SummingRun = (Vec<(u64, u64)>, ShuffleStats, TaskCounters);
-
-    fn summing_job(
-        engine: &MapReduce,
-        plan: &FaultPlan,
-        policy: &RetryPolicy,
-    ) -> Result<SummingRun, FaultError> {
-        engine.run_with_faults(
-            7,
-            (0..400u64).collect(),
-            |x: u64| vec![(x % 5, x)],
-            |k, vs| (*k, vs.iter().sum::<u64>()),
-            plan,
-            policy,
-        )
-    }
-
-    #[test]
-    fn faulty_run_matches_fault_free_run() {
-        let engine = MapReduce::new(4);
-        let (clean, clean_stats, clean_counters) =
-            summing_job(&engine, &FaultPlan::none(), &RetryPolicy::default()).unwrap();
-        assert_eq!(clean_counters.kills(), 0);
-        for seed in [1, 2, 3] {
-            let plan = FaultPlan::new(seed, 0.4, 0.3, 20.0);
-            let (faulty, stats, counters) =
-                summing_job(&engine, &plan, &RetryPolicy::default()).unwrap();
-            assert_eq!(clean, faulty, "seed {seed} changed results");
-            assert_eq!(clean_stats, stats);
-            assert!(counters.attempts() >= clean_counters.attempts());
-        }
-    }
-
-    #[test]
-    fn counters_are_deterministic_across_thread_caps() {
-        let engine = MapReduce::new(4);
-        let plan = FaultPlan::new(5, 0.5, 0.4, 30.0);
-        m2td_par::set_max_threads(1);
-        let serial = summing_job(&engine, &plan, &RetryPolicy::default()).unwrap();
-        m2td_par::set_max_threads(8);
-        let wide = summing_job(&engine, &plan, &RetryPolicy::default()).unwrap();
-        m2td_par::set_max_threads(0);
-        assert_eq!(serial, wide);
-        assert!(serial.2.kills() > 0, "plan injected no kills");
-    }
-
-    #[test]
-    fn kills_are_retried_and_counted() {
-        let engine = MapReduce::new(2);
-        // Kill every first attempt; the cap lets attempt 1 through.
-        let plan = FaultPlan::new(1, 1.0, 0.0, 0.0).with_kill_cap(1);
-        let (out, _, counters) = summing_job(&engine, &plan, &RetryPolicy::default()).unwrap();
-        assert_eq!(out.len(), 5);
-        // 2 map chunks + 5 reduce groups, each killed exactly once.
-        assert_eq!(counters.map_kills, 2);
-        assert_eq!(counters.reduce_kills, 5);
-        assert_eq!(counters.map_attempts, 4);
-        assert_eq!(counters.reduce_attempts, 10);
-        assert!(counters.virtual_lost_secs > 0.0);
-    }
-
-    #[test]
-    fn exhausted_retry_budget_is_an_error() {
-        let engine = MapReduce::new(2);
-        let plan = FaultPlan::new(1, 1.0, 0.0, 0.0).with_kill_cap(u32::MAX);
-        let err = summing_job(&engine, &plan, &RetryPolicy::with_max_attempts(3)).unwrap_err();
-        match err {
-            FaultError::RetryExhausted { attempts, .. } => assert_eq!(attempts, 3),
-        }
-    }
-
-    #[test]
-    fn stragglers_trigger_speculation() {
-        let engine = MapReduce::new(2);
-        // Every attempt straggles 60s; default policy speculates after 5s.
-        let plan = FaultPlan::new(2, 0.0, 1.0, 60.0);
-        let (out, _, counters) = summing_job(&engine, &plan, &RetryPolicy::default()).unwrap();
-        assert_eq!(out.len(), 5);
-        assert_eq!(counters.stragglers, 7); // 2 map + 5 reduce tasks
-        assert_eq!(counters.speculative_launches, 7);
-        // Charged delay is capped at the speculation threshold.
-        assert!((counters.virtual_lost_secs - 7.0 * 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn scoped_plan_leaves_other_jobs_alone() {
-        let engine = MapReduce::new(2);
-        let plan = FaultPlan::new(3, 1.0, 0.0, 0.0).in_job(99);
-        // Job 7 is untouched even though the kill rate is 1.
-        let (_, _, counters) = summing_job(&engine, &plan, &RetryPolicy::no_retries()).unwrap();
-        assert_eq!(counters.kills(), 0);
-    }
-
-    // ---- Sharded path. ----
 
     fn sharded_summing(
         engine: &MapReduce,
@@ -771,6 +565,87 @@ mod tests {
             |x: u64| vec![(x % 5, x)],
             |k, vs| (*k, vs.iter().sum::<u64>()),
         )
+    }
+
+    #[test]
+    fn faulty_run_matches_fault_free_run() {
+        let engine = MapReduce::new(4);
+        let clean =
+            sharded_summing(&engine, &FaultPlan::none(), &RetryPolicy::default(), None).unwrap();
+        assert_eq!(clean.counters.kills(), 0);
+        for seed in [1, 2, 3] {
+            let plan = FaultPlan::new(seed, 0.4, 0.3, 20.0);
+            let faulty = sharded_summing(&engine, &plan, &RetryPolicy::default(), None).unwrap();
+            assert_eq!(clean.outputs, faulty.outputs, "seed {seed} changed results");
+            assert_eq!(clean.stats, faulty.stats);
+            assert!(faulty.counters.attempts() >= clean.counters.attempts());
+        }
+    }
+
+    #[test]
+    fn counters_are_deterministic_across_thread_caps() {
+        let engine = MapReduce::new(4);
+        let plan = FaultPlan::new(5, 0.5, 0.4, 30.0);
+        m2td_par::set_max_threads(1);
+        let serial = sharded_summing(&engine, &plan, &RetryPolicy::default(), None).unwrap();
+        m2td_par::set_max_threads(8);
+        let wide = sharded_summing(&engine, &plan, &RetryPolicy::default(), None).unwrap();
+        m2td_par::set_max_threads(0);
+        assert_eq!(
+            (serial.outputs, serial.stats, serial.counters),
+            (wide.outputs, wide.stats, wide.counters)
+        );
+        assert!(serial.counters.kills() > 0, "plan injected no kills");
+    }
+
+    #[test]
+    fn kills_are_retried_and_counted() {
+        let engine = MapReduce::new(2);
+        // Kill every first attempt; the cap lets attempt 1 through.
+        let plan = FaultPlan::new(1, 1.0, 0.0, 0.0).with_kill_cap(1);
+        let out = sharded_summing(&engine, &plan, &RetryPolicy::default(), None).unwrap();
+        let counters = out.counters;
+        assert_eq!(out.outputs.len(), 5);
+        // 2 map chunks + 5 reduce groups, each killed exactly once.
+        assert_eq!(counters.map_kills, 2);
+        assert_eq!(counters.reduce_kills, 5);
+        assert_eq!(counters.map_attempts, 4);
+        assert_eq!(counters.reduce_attempts, 10);
+        assert!(counters.virtual_lost_secs > 0.0);
+    }
+
+    #[test]
+    fn exhausted_retry_budget_is_an_error() {
+        let engine = MapReduce::new(2);
+        let plan = FaultPlan::new(1, 1.0, 0.0, 0.0).with_kill_cap(u32::MAX);
+        let err =
+            sharded_summing(&engine, &plan, &RetryPolicy::with_max_attempts(3), None).unwrap_err();
+        match err {
+            FaultError::RetryExhausted { attempts, .. } => assert_eq!(attempts, 3),
+        }
+    }
+
+    #[test]
+    fn stragglers_trigger_speculation() {
+        let engine = MapReduce::new(2);
+        // Every attempt straggles 60s; default policy speculates after 5s.
+        let plan = FaultPlan::new(2, 0.0, 1.0, 60.0);
+        let out = sharded_summing(&engine, &plan, &RetryPolicy::default(), None).unwrap();
+        let counters = out.counters;
+        assert_eq!(out.outputs.len(), 5);
+        assert_eq!(counters.stragglers, 7); // 2 map + 5 reduce tasks
+        assert_eq!(counters.speculative_launches, 7);
+        // Charged delay is capped at the speculation threshold.
+        assert!((counters.virtual_lost_secs - 7.0 * 5.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn scoped_plan_leaves_other_jobs_alone() {
+        let engine = MapReduce::new(2);
+        let plan = FaultPlan::new(3, 1.0, 0.0, 0.0).in_job(99);
+        // Job 7 is untouched even though the kill rate is 1.
+        let out = sharded_summing(&engine, &plan, &RetryPolicy::no_retries(), None).unwrap();
+        assert_eq!(out.counters.kills(), 0);
     }
 
     #[test]

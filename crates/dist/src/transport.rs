@@ -1,7 +1,6 @@
-//! Transport abstraction: how tasks and sub-tensor shards cross the
-//! boundary between the D-M2TD driver and its workers.
+//! The wire between the D-M2TD driver and its workers.
 //!
-//! Everything that crosses a transport is a [`TaskEnvelope`] — an
+//! Everything that crosses the wire is a [`TaskEnvelope`] — an
 //! `m2td-json` document carrying the task identity (job, phase, kind,
 //! task id, attempt) plus an opaque serialized payload, sealed with the
 //! same FNV-1a-64 checksum the checkpoint-v2 store uses. The checksum
@@ -11,17 +10,17 @@
 //! scheduler retries — corrupt bytes are never deserialized into the
 //! pipeline.
 //!
-//! Two implementations exist today:
+//! An engine routes tasks one of two ways ([`TransportKind`]):
 //!
-//! * [`DirectTransport`] — a pass-through used as a reference; and
-//! * [`ChannelTransport`] — serializes every envelope, pushes the bytes
-//!   through an in-process `std::sync::mpsc` channel hop, optionally
-//!   injects deterministic wire corruption from the [`FaultPlan`] wire
-//!   stream, and re-parses on the far side.
+//! * **direct** — tasks run by plain function call; nothing is
+//!   serialized; and
+//! * **channel** — [`ChannelTransport`] serializes every envelope, pushes
+//!   the bytes through an in-process `std::sync::mpsc` channel hop,
+//!   optionally injects deterministic wire corruption from the
+//!   [`FaultPlan`] wire stream, and re-parses on the far side.
 //!
-//! The channel implementation is deliberately shaped like a future
-//! socket/process transport: nothing crosses it except bytes, so swapping
-//! the hop for a TCP stream changes no caller.
+//! Nothing crosses the channel except bytes, so the channel transport
+//! exercises the same encode → damage → decode path a socket would.
 
 use crate::checkpoint::fnv1a64;
 use m2td_fault::{CorruptionKind, FaultPlan, TaskKind};
@@ -127,8 +126,8 @@ pub struct TaskEnvelope {
     pub task: u64,
     /// Attempt number this envelope was dispatched for.
     pub attempt: u32,
-    /// FNV-1a-64 over the identity fields and the payload (see
-    /// [`TaskEnvelope::checksum_of`]).
+    /// FNV-1a-64 over a canonical `job/phase/kind/task/attempt/` header
+    /// followed by the payload bytes.
     pub checksum: u64,
     /// The serialized task input or output.
     pub payload: String,
@@ -248,32 +247,6 @@ impl TaskEnvelope {
     }
 }
 
-/// How envelopes cross from driver to worker (and back). `leg` identifies
-/// the crossing within one attempt: `0` = task dispatch, `1` = result
-/// return — the wire-corruption stream draws independently per leg.
-pub trait Transport: Sync {
-    /// Delivers one envelope, returning it as the far side sees it.
-    fn deliver(&self, envelope: &TaskEnvelope, leg: u32) -> Result<TaskEnvelope, TransportError>;
-
-    /// Which implementation this is.
-    fn kind(&self) -> TransportKind;
-}
-
-/// Pass-through transport: no serialization, no loss. The reference
-/// implementation the channel transport must agree with bitwise.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct DirectTransport;
-
-impl Transport for DirectTransport {
-    fn deliver(&self, envelope: &TaskEnvelope, _leg: u32) -> Result<TaskEnvelope, TransportError> {
-        Ok(envelope.clone())
-    }
-
-    fn kind(&self) -> TransportKind {
-        TransportKind::Direct
-    }
-}
-
 /// In-process channel transport: every delivery serializes the envelope,
 /// optionally damages the bytes per the [`FaultPlan`] wire stream, pushes
 /// them through an `mpsc` channel hop, and re-parses with checksum
@@ -290,28 +263,15 @@ impl ChannelTransport {
         Self { plan }
     }
 
-    /// Applies one wire mutation to serialized envelope bytes.
-    fn damage(text: String, kind: CorruptionKind) -> String {
-        let mut bytes = text.into_bytes();
-        match kind {
-            CorruptionKind::BitFlip => {
-                let mid = bytes.len() / 2;
-                bytes[mid] ^= 0x01;
-            }
-            // Stale-version corruption has no meaning on the wire;
-            // envelopes carry no format version. Model it as a torn frame.
-            CorruptionKind::Truncate | CorruptionKind::StaleVersion => {
-                bytes.truncate(bytes.len() / 2);
-            }
-        }
-        // The mutation may have broken UTF-8; replace invalid sequences
-        // (the parser rejects the replacement character anyway).
-        String::from_utf8_lossy(&bytes).into_owned()
-    }
-}
-
-impl Transport for ChannelTransport {
-    fn deliver(&self, envelope: &TaskEnvelope, leg: u32) -> Result<TaskEnvelope, TransportError> {
+    /// Delivers one envelope, returning it as the far side sees it.
+    /// `leg` identifies the crossing within one attempt: `0` = task
+    /// dispatch, `1` = result return — the wire-corruption stream draws
+    /// independently per leg.
+    pub fn deliver(
+        &self,
+        envelope: &TaskEnvelope,
+        leg: u32,
+    ) -> Result<TaskEnvelope, TransportError> {
         let mut text = envelope.encode();
         if let Some(kind) =
             self.plan
@@ -331,8 +291,23 @@ impl Transport for ChannelTransport {
         })
     }
 
-    fn kind(&self) -> TransportKind {
-        TransportKind::Channel
+    /// Applies one wire mutation to serialized envelope bytes.
+    fn damage(text: String, kind: CorruptionKind) -> String {
+        let mut bytes = text.into_bytes();
+        match kind {
+            CorruptionKind::BitFlip => {
+                let mid = bytes.len() / 2;
+                bytes[mid] ^= 0x01;
+            }
+            // Stale-version corruption has no meaning on the wire;
+            // envelopes carry no format version. Model it as a torn frame.
+            CorruptionKind::Truncate | CorruptionKind::StaleVersion => {
+                bytes.truncate(bytes.len() / 2);
+            }
+        }
+        // The mutation may have broken UTF-8; replace invalid sequences
+        // (the parser rejects the replacement character anyway).
+        String::from_utf8_lossy(&bytes).into_owned()
     }
 }
 
@@ -398,17 +373,13 @@ mod tests {
 
     #[test]
     fn clean_channel_agrees_with_direct() {
+        // Direct delivery is the identity: a loss-free channel must hand
+        // the far side exactly the envelope that was sent.
         let env = envelope();
-        let direct = DirectTransport.deliver(&env, 0).unwrap();
         let channel = ChannelTransport::new(FaultPlan::none())
             .deliver(&env, 0)
             .unwrap();
-        assert_eq!(direct, channel);
-        assert_eq!(DirectTransport.kind(), TransportKind::Direct);
-        assert_eq!(
-            ChannelTransport::new(FaultPlan::none()).kind(),
-            TransportKind::Channel
-        );
+        assert_eq!(channel, env);
     }
 
     #[test]

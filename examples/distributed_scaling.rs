@@ -10,7 +10,7 @@
 //! ```
 
 use m2td::core::{m2td_decompose, M2tdOptions, Workbench, WorkbenchConfig};
-use m2td::dist::{d_m2td, ClusterModel, MapReduce};
+use m2td::dist::{d_m2td, ClusterModel, DistJob, MapReduce};
 use m2td::sim::systems::DoublePendulum;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -41,6 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &join_ranks,
         M2tdOptions::default(),
         &engine,
+        &DistJob::default(),
     )?;
     let serial = m2td_decompose(&x1, &x2, partition.k(), &join_ranks, M2tdOptions::default())?;
     let core_diff = dist.tucker.core.sub(&serial.tucker.core)?.frobenius_norm();

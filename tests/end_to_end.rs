@@ -5,7 +5,7 @@
 use m2td::core::{
     m2td_decompose, CoreProjection, M2tdOptions, PivotCombine, Workbench, WorkbenchConfig,
 };
-use m2td::dist::{d_m2td, ClusterModel, MapReduce};
+use m2td::dist::{d_m2td, ClusterModel, DistJob, MapReduce};
 use m2td::sampling::{GridSampling, RandomSampling, SamplingScheme, SliceSampling};
 use m2td::sim::systems::{DoublePendulum, Lorenz, Sir, TriplePendulum};
 use m2td::sim::EnsembleSystem;
@@ -145,6 +145,7 @@ fn distributed_agrees_with_serial_through_public_api() {
         &ranks,
         M2tdOptions::default(),
         &MapReduce::new(3),
+        &DistJob::default(),
     )
     .unwrap();
     let diff = dist

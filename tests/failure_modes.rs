@@ -7,16 +7,16 @@ use m2td::core::{
     m2td_decompose, CoreError, M2tdOptions, SimFaultPolicy, Workbench, WorkbenchConfig,
 };
 use m2td::dist::{
-    d_m2td, d_m2td_fault_tolerant, DistError, FaultConfig, MapReduce, Phase3Strategy, PHASE1_JOB,
-    PHASE2_JOB, PHASE3_JOB,
+    d_m2td, CheckpointStore, DistError, DistJob, DlqStore, FaultConfig, Fingerprint, JobRecovery,
+    ManifestStore, MapReduce, TaskEnvelope, PHASE1_JOB, PHASE2_JOB, PHASE3_JOB,
 };
-use m2td::fault::{FaultPlan, RetryPolicy};
+use m2td::fault::{FaultPlan, RetryPolicy, TaskKind};
 use m2td::sampling::{PfPartition, RandomSampling, SamplingScheme};
 use m2td::sim::systems::Sir;
 use m2td::stitch::{stitch, StitchKind};
 use m2td::tensor::{hosvd_sparse, DenseTensor, Shape, SparseTensor};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn tiny_workbench() -> Workbench<'static> {
     static SYS: Sir = Sir;
@@ -64,7 +64,8 @@ fn mismatched_partitions_error_cleanly() {
         1,
         &[2, 2, 2],
         M2tdOptions::default(),
-        &MapReduce::new(1)
+        &MapReduce::new(1),
+        &DistJob::default()
     )
     .is_err());
 }
@@ -196,7 +197,7 @@ fn task_killed_in_each_phase_still_converges() {
     let ranks = [3, 3, 3];
     let opts = M2tdOptions::default();
     let engine = MapReduce::new(3);
-    let clean = d_m2td(&x1, &x2, 1, &ranks, opts, &engine).unwrap();
+    let clean = d_m2td(&x1, &x2, 1, &ranks, opts, &engine, &DistJob::default()).unwrap();
     for job in [PHASE1_JOB, PHASE2_JOB, PHASE3_JOB] {
         // Kill aggressively, but only inside one phase at a time; the
         // default kill cap bounds consecutive kills so retries succeed.
@@ -204,16 +205,17 @@ fn task_killed_in_each_phase_still_converges() {
             plan: FaultPlan::new(33, 0.9, 0.0, 0.0).in_job(job),
             policy: RetryPolicy::default(),
         };
-        let faulty = d_m2td_fault_tolerant(
+        let faulty = d_m2td(
             &x1,
             &x2,
             1,
             &ranks,
             opts,
             &engine,
-            Phase3Strategy::ChunkPartition,
-            &faults,
-            None,
+            &DistJob {
+                faults,
+                ..Default::default()
+            },
         )
         .unwrap_or_else(|e| panic!("phase-{job} faults should be survivable: {e}"));
         assert_eq!(
@@ -246,23 +248,24 @@ fn straggler_is_rescued_by_speculation() {
     let ranks = [3, 3, 3];
     let opts = M2tdOptions::default();
     let engine = MapReduce::new(2);
-    let clean = d_m2td(&x1, &x2, 1, &ranks, opts, &engine).unwrap();
+    let clean = d_m2td(&x1, &x2, 1, &ranks, opts, &engine, &DistJob::default()).unwrap();
     // Every task straggles far past the speculation threshold.
     let policy = RetryPolicy::default();
     let faults = FaultConfig {
         plan: FaultPlan::new(8, 0.0, 1.0, 60.0),
         policy,
     };
-    let faulty = d_m2td_fault_tolerant(
+    let faulty = d_m2td(
         &x1,
         &x2,
         1,
         &ranks,
         opts,
         &engine,
-        Phase3Strategy::ChunkPartition,
-        &faults,
-        None,
+        &DistJob {
+            faults,
+            ..Default::default()
+        },
     )
     .unwrap();
     let total = faulty.total_tasks();
@@ -290,16 +293,17 @@ fn exhausted_retry_budget_is_a_clean_dist_error() {
         plan: FaultPlan::new(4, 1.0, 0.0, 0.0).with_kill_cap(u32::MAX),
         policy: RetryPolicy::with_max_attempts(2),
     };
-    let err = d_m2td_fault_tolerant(
+    let err = d_m2td(
         &x1,
         &x2,
         1,
         &[3, 3, 3],
         M2tdOptions::default(),
         &MapReduce::new(2),
-        Phase3Strategy::ChunkPartition,
-        &faults,
-        None,
+        &DistJob {
+            faults,
+            ..Default::default()
+        },
     )
     .unwrap_err();
     match &err {
@@ -341,4 +345,153 @@ fn coverage_threshold_violation_is_a_clean_core_error() {
         other => panic!("expected InsufficientCoverage, got {other}"),
     }
     assert!(err.to_string().contains("coverage"), "{err}");
+}
+
+/// One seeded mutation of `bytes`: a multi-bit flip, a truncation, a
+/// splice of a random slice of `donor`, or a swap of one JSON punctuation
+/// byte for another.
+fn mutate(rng: &mut StdRng, bytes: &[u8], donor: &[u8]) -> Vec<u8> {
+    const PUNCT: &[u8] = b"{}[]:,\"-.";
+    let mut out = bytes.to_vec();
+    if out.is_empty() {
+        return out;
+    }
+    match rng.gen_range(0u8..4) {
+        0 => {
+            for _ in 0..rng.gen_range(2usize..9) {
+                let at = rng.gen_range(0..out.len());
+                out[at] ^= 1 << rng.gen_range(0u32..8);
+            }
+        }
+        1 => out.truncate(rng.gen_range(0..out.len())),
+        2 => {
+            let from = rng.gen_range(0..donor.len());
+            let to = rng.gen_range(from..donor.len() + 1);
+            let at = rng.gen_range(0..out.len() + 1);
+            let cut = rng.gen_range(at..out.len() + 1);
+            out.splice(at..cut, donor[from..to].iter().copied());
+        }
+        _ => {
+            let spots: Vec<usize> = (0..out.len())
+                .filter(|&i| PUNCT.contains(&out[i]))
+                .collect();
+            if let Some(&at) = spots.get(rng.gen_range(0..spots.len().max(1))) {
+                out[at] = PUNCT[rng.gen_range(0..PUNCT.len())];
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn dist_decoders_survive_seeded_mutations() {
+    let dir = std::env::temp_dir().join(format!("m2td_decoder_mutation_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+
+    // Real artifacts: a checkpointed, resumable run whose phase-3 task 1
+    // is doomed leaves phase1.json, phase2.json, manifest.json and a
+    // one-entry dlq.json behind.
+    let (x1, x2) = {
+        let mut rng = StdRng::seed_from_u64(5);
+        let cells = |rng: &mut StdRng| -> Vec<(Vec<usize>, f64)> {
+            let shape = Shape::new(&[4, 3]);
+            (0..shape.num_elements())
+                .map(|l| (shape.multi_index(l), rng.gen_range(-1.0..1.0)))
+                .collect()
+        };
+        (
+            SparseTensor::from_entries(&[4, 3], &cells(&mut rng)).unwrap(),
+            SparseTensor::from_entries(&[4, 3], &cells(&mut rng)).unwrap(),
+        )
+    };
+    let (ranks, opts) = ([2, 2, 2], M2tdOptions::default());
+    let fp = Fingerprint::new(&x1, &x2, 1, &ranks, &opts);
+    let store = CheckpointStore::new(&dir).unwrap();
+    let manifest = ManifestStore::open(&dir).unwrap();
+    let dlq = DlqStore::open(&dir);
+    let job = DistJob {
+        faults: FaultConfig {
+            plan: FaultPlan::none().in_job(PHASE3_JOB).with_doom_mask(1 << 1),
+            policy: RetryPolicy::default(),
+        },
+        checkpoint: Some(&store),
+        recovery: Some(JobRecovery::new(&manifest, &dlq)),
+        ..Default::default()
+    };
+    let run = d_m2td(&x1, &x2, 1, &ranks, opts, &MapReduce::new(2), &job).unwrap();
+    assert!(run.degraded, "the doomed task did not park");
+    let clean_phase1 = store.load_phase1(&fp).expect("phase1.json not written");
+    let clean_phase2 = store.load_phase2(&fp).expect("phase2.json not written");
+    let clean_manifest = manifest.load(&fp).expect("manifest.json not written");
+    let clean_dlq = DlqStore::open(&dir).entries();
+    assert_eq!(clean_dlq.len(), 1);
+
+    let mut rng = StdRng::seed_from_u64(2026);
+
+    // Envelopes: a typed error, or (checksum-verified) the original.
+    let envelope = TaskEnvelope::new(
+        3,
+        2,
+        TaskKind::Reduce,
+        17,
+        1,
+        "[[0,4,1.5],[1,9,-0.25]]".into(),
+    );
+    let text = envelope.encode();
+    for i in 0..5000 {
+        let bad = mutate(&mut rng, text.as_bytes(), text.as_bytes());
+        let bad = String::from_utf8_lossy(&bad);
+        if let Ok(decoded) = TaskEnvelope::decode(&bad) {
+            assert_eq!(
+                decoded, envelope,
+                "mutation {i} decoded to a different envelope: {bad}"
+            );
+        }
+    }
+
+    // Files: each loader reports the record absent (quarantining it) or
+    // returns exactly the record that was sealed.
+    let originals: Vec<(&str, Vec<u8>)> =
+        ["phase1.json", "phase2.json", "manifest.json", "dlq.json"]
+            .into_iter()
+            .map(|name| (name, std::fs::read(dir.join(name)).unwrap()))
+            .collect();
+    for (name, original) in &originals {
+        for (j, (_, donor)) in originals.iter().enumerate() {
+            for _ in 0..150 {
+                let bad = mutate(&mut rng, original, donor);
+                std::fs::write(dir.join(name), &bad).unwrap();
+                let ctx = || {
+                    format!(
+                        "{name} spliced from #{j}: {}",
+                        String::from_utf8_lossy(&bad)
+                    )
+                };
+                match *name {
+                    "phase1.json" => {
+                        if let Some(f) = store.load_phase1(&fp) {
+                            assert!(f == clean_phase1, "{}", ctx());
+                        }
+                    }
+                    "phase2.json" => {
+                        if let Some(t) = store.load_phase2(&fp) {
+                            assert_eq!(t, clean_phase2, "{}", ctx());
+                        }
+                    }
+                    "manifest.json" => {
+                        if let Some(m) = manifest.load(&fp) {
+                            assert_eq!(m, clean_manifest, "{}", ctx());
+                        }
+                    }
+                    _ => {
+                        let entries = DlqStore::open(&dir).entries();
+                        assert!(entries.is_empty() || entries == clean_dlq, "{}", ctx());
+                    }
+                }
+            }
+        }
+        std::fs::write(dir.join(name), original).unwrap();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -11,9 +11,8 @@
 
 use m2td::core::M2tdOptions;
 use m2td::dist::{
-    d_m2td, d_m2td_fault_tolerant, d_m2td_resumable, CheckpointStore, DistDecomposition, DistError,
-    DlqStore, FaultConfig, JobRecovery, ManifestStore, MapReduce, Phase3Strategy, TransportKind,
-    PHASE3_JOB,
+    d_m2td, CheckpointStore, DistDecomposition, DistError, DistJob, DlqStore, FaultConfig,
+    JobRecovery, ManifestStore, MapReduce, Phase3Strategy, TransportKind, PHASE3_JOB,
 };
 use m2td::fault::{FaultPlan, RetryPolicy};
 use m2td::tensor::{Shape, SparseTensor};
@@ -88,22 +87,23 @@ fn fault_schedules_are_bitwise_deterministic_across_seeds_and_workers() {
     // fault schedule never shows through at any worker count.
     for workers in [1, 4] {
         let engine = MapReduce::new(workers);
-        let reference = d_m2td(&x1, &x2, K, &RANKS, opts, &engine).unwrap();
+        let reference = d_m2td(&x1, &x2, K, &RANKS, opts, &engine, &DistJob::default()).unwrap();
         for seed in seeds_under_test() {
             let faults = FaultConfig {
                 plan: FaultPlan::new(seed, 0.5, 0.3, 20.0),
                 policy: RetryPolicy::default(),
             };
-            let run = d_m2td_fault_tolerant(
+            let run = d_m2td(
                 &x1,
                 &x2,
                 K,
                 &RANKS,
                 opts,
                 &engine,
-                Phase3Strategy::ChunkPartition,
-                &faults,
-                None,
+                &DistJob {
+                    faults,
+                    ..Default::default()
+                },
             )
             .unwrap_or_else(|e| panic!("seed {seed}, {workers} workers: {e}"));
             assert_bitwise_equal(&reference, &run, &format!("seed {seed}, {workers} workers"));
@@ -114,16 +114,17 @@ fn fault_schedules_are_bitwise_deterministic_across_seeds_and_workers() {
             // The injected schedule (and hence every counter) is a pure
             // function of (seed, job, task, attempt): rerunning must
             // reproduce it exactly.
-            let again = d_m2td_fault_tolerant(
+            let again = d_m2td(
                 &x1,
                 &x2,
                 K,
                 &RANKS,
                 opts,
                 &engine,
-                Phase3Strategy::ChunkPartition,
-                &faults,
-                None,
+                &DistJob {
+                    faults,
+                    ..Default::default()
+                },
             )
             .unwrap();
             assert_eq!(
@@ -150,7 +151,7 @@ fn channel_transport_is_bitwise_deterministic_under_faults() {
     // is bitwise identical to the direct-call fault-free run.
     for workers in [1, 2, 8] {
         let direct = MapReduce::new(workers).with_transport(TransportKind::Direct);
-        let reference = d_m2td(&x1, &x2, K, &RANKS, opts, &direct).unwrap();
+        let reference = d_m2td(&x1, &x2, K, &RANKS, opts, &direct, &DistJob::default()).unwrap();
         let channel = direct.with_transport(TransportKind::Channel);
         for seed in seeds_under_test() {
             // Kills are capped at 2 consecutive per task, but wire
@@ -160,16 +161,17 @@ fn channel_transport_is_bitwise_deterministic_under_faults() {
                 plan: FaultPlan::new(seed, 0.4, 0.2, 20.0).with_xport_corrupt_rate(0.2),
                 policy: RetryPolicy::with_max_attempts(10),
             };
-            let run = d_m2td_fault_tolerant(
+            let run = d_m2td(
                 &x1,
                 &x2,
                 K,
                 &RANKS,
                 opts,
                 &channel,
-                Phase3Strategy::ChunkPartition,
-                &faults,
-                None,
+                &DistJob {
+                    faults,
+                    ..Default::default()
+                },
             )
             .unwrap_or_else(|e| panic!("channel seed {seed}, {workers} workers: {e}"));
             assert_bitwise_equal(
@@ -191,16 +193,17 @@ fn mode_shuffle_phase3_is_also_fault_deterministic() {
     let (x1, x2) = sub_tensors();
     let opts = M2tdOptions::default();
     let engine = MapReduce::new(2);
-    let reference = d_m2td_fault_tolerant(
+    let reference = d_m2td(
         &x1,
         &x2,
         K,
         &RANKS,
         opts,
         &engine,
-        Phase3Strategy::ModeShuffle,
-        &FaultConfig::none(),
-        None,
+        &DistJob {
+            phase3: Phase3Strategy::ModeShuffle,
+            ..Default::default()
+        },
     )
     .unwrap();
     for seed in seeds_under_test() {
@@ -208,16 +211,18 @@ fn mode_shuffle_phase3_is_also_fault_deterministic() {
             plan: FaultPlan::new(seed, 0.6, 0.0, 0.0),
             policy: RetryPolicy::default(),
         };
-        let run = d_m2td_fault_tolerant(
+        let run = d_m2td(
             &x1,
             &x2,
             K,
             &RANKS,
             opts,
             &engine,
-            Phase3Strategy::ModeShuffle,
-            &faults,
-            None,
+            &DistJob {
+                phase3: Phase3Strategy::ModeShuffle,
+                faults,
+                ..Default::default()
+            },
         )
         .unwrap();
         assert_bitwise_equal(&reference, &run, &format!("mode-shuffle, seed {seed}"));
@@ -241,7 +246,7 @@ fn phase3_failure_resumes_from_checkpoints_without_recomputing() {
     let (x1, x2) = sub_tensors();
     let opts = M2tdOptions::default();
     let engine = MapReduce::new(2);
-    let clean = d_m2td(&x1, &x2, K, &RANKS, opts, &engine).unwrap();
+    let clean = d_m2td(&x1, &x2, K, &RANKS, opts, &engine, &DistJob::default()).unwrap();
 
     // First attempt: phase 3 is unconditionally killed with no retries, so
     // the run dies *after* phases 1 and 2 persisted their checkpoints.
@@ -251,16 +256,18 @@ fn phase3_failure_resumes_from_checkpoints_without_recomputing() {
             .with_kill_cap(u32::MAX),
         policy: RetryPolicy::no_retries(),
     };
-    let err = d_m2td_fault_tolerant(
+    let err = d_m2td(
         &x1,
         &x2,
         K,
         &RANKS,
         opts,
         &engine,
-        Phase3Strategy::ChunkPartition,
-        &lethal,
-        Some(&store),
+        &DistJob {
+            faults: lethal,
+            checkpoint: Some(&store),
+            ..Default::default()
+        },
     )
     .unwrap_err();
     assert!(
@@ -271,16 +278,17 @@ fn phase3_failure_resumes_from_checkpoints_without_recomputing() {
     // Second attempt, fault-free: phases 1–2 must resume from the
     // checkpoints (zero task executions), phase 3 recomputes, and the
     // result is bitwise identical to the never-failed run.
-    let resumed = d_m2td_fault_tolerant(
+    let resumed = d_m2td(
         &x1,
         &x2,
         K,
         &RANKS,
         opts,
         &engine,
-        Phase3Strategy::ChunkPartition,
-        &FaultConfig::none(),
-        Some(&store),
+        &DistJob {
+            checkpoint: Some(&store),
+            ..Default::default()
+        },
     )
     .unwrap();
     assert!(resumed.phase1.resumed, "phase 1 was recomputed");
@@ -307,16 +315,17 @@ fn phase3_failure_resumes_from_checkpoints_without_recomputing() {
     let mut entries: Vec<(Vec<usize>, f64)> = x1.iter().collect();
     entries[0].1 += 1.0;
     let x1b = SparseTensor::from_entries(x1.dims(), &entries).unwrap();
-    let fresh = d_m2td_fault_tolerant(
+    let fresh = d_m2td(
         &x1b,
         &x2,
         K,
         &RANKS,
         opts,
         &engine,
-        Phase3Strategy::ChunkPartition,
-        &FaultConfig::none(),
-        Some(&store),
+        &DistJob {
+            checkpoint: Some(&store),
+            ..Default::default()
+        },
     )
     .unwrap();
     assert!(!fresh.phase1.resumed && !fresh.phase2.resumed);
@@ -334,7 +343,7 @@ fn interrupted_phase3_resumes_from_manifest_and_drains_the_dlq() {
     let (x1, x2) = sub_tensors();
     let opts = M2tdOptions::default();
     let engine = MapReduce::new(2).with_transport(TransportKind::Channel);
-    let clean = d_m2td(&x1, &x2, K, &RANKS, opts, &engine).unwrap();
+    let clean = d_m2td(&x1, &x2, K, &RANKS, opts, &engine, &DistJob::default()).unwrap();
 
     // "Kill mid-phase-3": doom one of the two phase-3 reduce tasks and
     // demand full coverage, so the run dies after phases 1-2 completed,
@@ -345,17 +354,19 @@ fn interrupted_phase3_resumes_from_manifest_and_drains_the_dlq() {
         policy: RetryPolicy::default(),
     };
     let strict = JobRecovery::new(&manifest, &dlq).with_min_coverage(1.0);
-    let err = d_m2td_resumable(
+    let err = d_m2td(
         &x1,
         &x2,
         K,
         &RANKS,
         opts,
         &engine,
-        Phase3Strategy::ChunkPartition,
-        &lethal,
-        Some(&store),
-        &strict,
+        &DistJob {
+            faults: lethal,
+            checkpoint: Some(&store),
+            recovery: Some(strict),
+            ..Default::default()
+        },
     )
     .unwrap_err();
     assert!(
@@ -368,17 +379,18 @@ fn interrupted_phase3_resumes_from_manifest_and_drains_the_dlq() {
     // run completes degraded (coverage 1/2 meets the default 0.5 floor)
     // and differs from the clean result.
     let recovery = JobRecovery::new(&manifest, &dlq);
-    let degraded = d_m2td_resumable(
+    let degraded = d_m2td(
         &x1,
         &x2,
         K,
         &RANKS,
         opts,
         &engine,
-        Phase3Strategy::ChunkPartition,
-        &FaultConfig::none(),
-        Some(&store),
-        &recovery,
+        &DistJob {
+            checkpoint: Some(&store),
+            recovery: Some(recovery),
+            ..Default::default()
+        },
     )
     .unwrap();
     assert!(degraded.degraded);
@@ -388,7 +400,7 @@ fn interrupted_phase3_resumes_from_manifest_and_drains_the_dlq() {
         "the surviving phase-3 task must replay from the manifest"
     );
     assert_ne!(
-        degraded.dist.tucker.core.as_slice(),
+        degraded.tucker.core.as_slice(),
         clean.tucker.core.as_slice(),
         "a core missing one partial cannot equal the clean core"
     );
@@ -396,17 +408,18 @@ fn interrupted_phase3_resumes_from_manifest_and_drains_the_dlq() {
     // Requeue and restart: the parked task re-runs, its entry drains,
     // and the result is bitwise identical to the uninterrupted run.
     assert_eq!(dlq.requeue_all().unwrap(), 1);
-    let resumed = d_m2td_resumable(
+    let resumed = d_m2td(
         &x1,
         &x2,
         K,
         &RANKS,
         opts,
         &engine,
-        Phase3Strategy::ChunkPartition,
-        &FaultConfig::none(),
-        Some(&store),
-        &recovery,
+        &DistJob {
+            checkpoint: Some(&store),
+            recovery: Some(recovery),
+            ..Default::default()
+        },
     )
     .unwrap();
     assert!(!resumed.degraded);
@@ -414,7 +427,7 @@ fn interrupted_phase3_resumes_from_manifest_and_drains_the_dlq() {
     assert_eq!(resumed.drained, 1, "the requeued entry must drain");
     assert!(resumed.resumed_tasks > 0);
     assert_eq!(dlq.depth(), 0);
-    assert_bitwise_equal(&clean, &resumed.dist, "after requeue and resume");
+    assert_bitwise_equal(&clean, &resumed, "after requeue and resume");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

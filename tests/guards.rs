@@ -15,10 +15,7 @@
 //! that installs either serializes on [`lock`] and uninstalls on drop.
 
 use m2td::core::{m2td_decompose, CoreError, M2tdOptions};
-use m2td::dist::{
-    d_m2td, d_m2td_fault_tolerant, CheckpointStore, DistDecomposition, FaultConfig, MapReduce,
-    Phase3Strategy,
-};
+use m2td::dist::{d_m2td, CheckpointStore, DistDecomposition, DistJob, FaultConfig, MapReduce};
 use m2td::fault::{CorruptionKind, FaultPlan, RetryPolicy};
 use m2td::guard::{GuardConfig, GuardError, GuardPolicy, NonFiniteKind};
 use m2td::tensor::{Shape, SparseTensor};
@@ -243,7 +240,7 @@ fn every_corruption_kind_quarantines_and_recomputes_bitwise_identically() {
     let (x1, x2) = sub_tensors();
     let opts = M2tdOptions::default();
     let engine = MapReduce::new(2);
-    let reference = d_m2td(&x1, &x2, 1, &[3, 3, 3], opts, &engine).unwrap();
+    let reference = d_m2td(&x1, &x2, 1, &[3, 3, 3], opts, &engine, &DistJob::default()).unwrap();
 
     for kind in [
         CorruptionKind::BitFlip,
@@ -255,16 +252,17 @@ fn every_corruption_kind_quarantines_and_recomputes_bitwise_identically() {
         let store = CheckpointStore::new(&dir).unwrap();
 
         // Clean checkpointed run, then damage both phase records on disk.
-        let first = d_m2td_fault_tolerant(
+        let first = d_m2td(
             &x1,
             &x2,
             1,
             &[3, 3, 3],
             opts,
             &engine,
-            Phase3Strategy::ChunkPartition,
-            &FaultConfig::none(),
-            Some(&store),
+            &DistJob {
+                checkpoint: Some(&store),
+                ..Default::default()
+            },
         )
         .unwrap();
         assert_bitwise_equal(&reference, &first, &format!("{kind}: clean run"));
@@ -272,16 +270,17 @@ fn every_corruption_kind_quarantines_and_recomputes_bitwise_identically() {
         assert!(store.corrupt(2, kind).unwrap());
 
         m2td::obs::reset();
-        let recovered = d_m2td_fault_tolerant(
+        let recovered = d_m2td(
             &x1,
             &x2,
             1,
             &[3, 3, 3],
             opts,
             &engine,
-            Phase3Strategy::ChunkPartition,
-            &FaultConfig::none(),
-            Some(&store),
+            &DistJob {
+                checkpoint: Some(&store),
+                ..Default::default()
+            },
         )
         .unwrap();
         assert!(
@@ -308,7 +307,7 @@ fn in_run_corruption_stream_damages_disk_but_never_the_result() {
     let (x1, x2) = sub_tensors();
     let opts = M2tdOptions::default();
     let engine = MapReduce::new(2);
-    let reference = d_m2td(&x1, &x2, 1, &[3, 3, 3], opts, &engine).unwrap();
+    let reference = d_m2td(&x1, &x2, 1, &[3, 3, 3], opts, &engine, &DistJob::default()).unwrap();
 
     let dir = unique_tmp_dir("m2td_guard_stream");
     let _ = std::fs::remove_dir_all(&dir);
@@ -320,16 +319,18 @@ fn in_run_corruption_stream_damages_disk_but_never_the_result() {
         plan: FaultPlan::none().with_ckpt_corrupt_rate(0.999),
         policy: RetryPolicy::default(),
     };
-    let first = d_m2td_fault_tolerant(
+    let first = d_m2td(
         &x1,
         &x2,
         1,
         &[3, 3, 3],
         opts,
         &engine,
-        Phase3Strategy::ChunkPartition,
-        &chaos,
-        Some(&store),
+        &DistJob {
+            faults: chaos,
+            checkpoint: Some(&store),
+            ..Default::default()
+        },
     )
     .unwrap();
     assert_bitwise_equal(&reference, &first, "corrupting run");
@@ -339,16 +340,17 @@ fn in_run_corruption_stream_damages_disk_but_never_the_result() {
     assert_eq!(injected, 2, "both phase records should have been damaged");
 
     // The next run finds damaged records: quarantine, recompute, same bits.
-    let recovered = d_m2td_fault_tolerant(
+    let recovered = d_m2td(
         &x1,
         &x2,
         1,
         &[3, 3, 3],
         opts,
         &engine,
-        Phase3Strategy::ChunkPartition,
-        &FaultConfig::none(),
-        Some(&store),
+        &DistJob {
+            checkpoint: Some(&store),
+            ..Default::default()
+        },
     )
     .unwrap();
     assert!(!recovered.phase1.resumed && !recovered.phase2.resumed);

@@ -9,11 +9,15 @@
 //! * an impossible budget trips the guard gate: the public entry point
 //!   silently falls back to the exact route and bumps the
 //!   `sketch.fallbacks` counter — without touching any `guard.*`
-//!   counter, which chaos CI reserves for real numerical events.
+//!   counter, which chaos CI reserves for real numerical events;
+//! * D-M2TD checkpoints written under a sketch config never resume a run
+//!   with a different one: Phase 1's factors depend on the route.
 //!
 //! Sketch/guard/obs state is process-global, so every test that installs
 //! any of them serializes on one lock and uninstalls before releasing.
 
+use m2td::core::M2tdOptions;
+use m2td::dist::{d_m2td, CheckpointStore, DistJob, MapReduce};
 use m2td::sketch::{SketchConfig, SketchPolicy, DEFAULT_SKETCH_BUDGET};
 use m2td::tensor::{hosvd_sparse, hosvd_sparse_exact, hosvd_sparse_sketched, Shape, SparseTensor};
 use std::sync::Mutex;
@@ -143,4 +147,79 @@ fn impossible_budget_falls_back_to_exact_and_counts_it() {
         "sketch fallback must not bump guard counters: {:?}",
         snap.counters
     );
+}
+
+#[test]
+fn sketched_checkpoints_do_not_resume_an_exact_run() {
+    let _guard = GLOBAL_STATE_LOCK.lock().unwrap();
+    // A 12x10x10 pair sharing its two leading (pivot) modes.
+    let dims = [12, 10, 10];
+    let shape = Shape::new(&dims);
+    let pair = |phase: f64| {
+        let entries: Vec<(Vec<usize>, f64)> = (0..shape.num_elements())
+            .map(|l| {
+                let idx = shape.multi_index(l);
+                let (i0, i1, i2) = (idx[0] as f64, idx[1] as f64, idx[2] as f64);
+                let v = (i0 * 0.4 + phase).sin() * (i1 * 0.3 + 1.0) * (i2 * 0.2 + 1.0)
+                    + 0.3 * (i0 * 0.9).cos() * (i2 * 0.5 + phase).sin();
+                (idx, v)
+            })
+            .collect();
+        SparseTensor::from_entries(&dims, &entries).unwrap()
+    };
+    let (x1, x2) = (pair(0.0), pair(0.7));
+    let ranks = [3, 3, 3, 3];
+    let opts = M2tdOptions::default();
+    let engine = MapReduce::new(2);
+    let exact = d_m2td(&x1, &x2, 2, &ranks, opts, &engine, &DistJob::default()).unwrap();
+    let bits = |d: &m2td::dist::DistDecomposition| -> Vec<Vec<f64>> {
+        d.tucker
+            .factors
+            .iter()
+            .map(|f| f.as_slice().to_vec())
+            .collect()
+    };
+
+    for (tag, cfg) in [
+        (
+            "mach:0.3",
+            SketchConfig::with_size(4).with_policy(SketchPolicy::Mach { keep: 0.3 }),
+        ),
+        ("gaussian:4", SketchConfig::with_size(4)),
+    ] {
+        let dir = std::env::temp_dir().join(format!(
+            "m2td_sketch_ckpt_{}_{}",
+            tag.replace(':', "_"),
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CheckpointStore::new(&dir).unwrap();
+        let job = DistJob {
+            checkpoint: Some(&store),
+            ..Default::default()
+        };
+
+        m2td::sketch::install(cfg);
+        let sketched = d_m2td(&x1, &x2, 2, &ranks, opts, &engine, &job);
+        m2td::sketch::uninstall();
+        let sketched = sketched.unwrap();
+        assert_ne!(
+            bits(&sketched),
+            bits(&exact),
+            "{tag}: the sketched route left the factors exact — test is vacuous"
+        );
+
+        let rerun = d_m2td(&x1, &x2, 2, &ranks, opts, &engine, &job).unwrap();
+        assert!(
+            !rerun.phase1.resumed,
+            "{tag}: an exact run resumed sketched phase-1 factors"
+        );
+        assert_eq!(bits(&rerun), bits(&exact), "{tag}: factors differ");
+        assert_eq!(
+            rerun.tucker.core.as_slice(),
+            exact.tucker.core.as_slice(),
+            "{tag}: core differs"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
